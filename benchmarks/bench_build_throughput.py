@@ -69,6 +69,7 @@ FULL_CONFIGS: Tuple[Tuple[str, int, int], ...] = (
     ("quad-opt", 100_000, 8),
     ("kd-hybrid", 50_000, 6),
     ("kd-pure", 50_000, 6),
+    ("kd-cell", 50_000, 6),
     ("hilbert-r", 60_000, 10),
 )
 
@@ -76,6 +77,7 @@ SMOKE_CONFIGS: Tuple[Tuple[str, int, int], ...] = (
     ("quad-opt", 5_000, 5),
     ("kd-hybrid", 2_000, 3),
     ("kd-pure", 2_000, 3),
+    ("kd-cell", 2_000, 3),
     ("hilbert-r", 2_000, 6),
 )
 

@@ -74,6 +74,7 @@ from .splits import (
     QuadSplit,
     SplitRule,
     grid_median_along_axis,
+    grid_medians,
 )
 from .tree import PrivateSpatialDecomposition, PSDNode
 
@@ -106,6 +107,7 @@ __all__ = [
     "HybridSplit",
     "CellKDSplit",
     "grid_median_along_axis",
+    "grid_medians",
     "apply_ols",
     "ols_estimate_tree",
     "check_consistency",

@@ -536,9 +536,10 @@ def build_psd_releases(
     counts, and the generator's final state — to the ``r``-th build of the
     sequential loop over ``build_psd`` with the same arguments and the same
     seeded generator.  Split rules without a statically-known draw layout
-    (sampled medians, custom callables, per-release structures like the
-    cell-based grid) fall back to exactly that sequential loop, so the
-    contract holds trivially.
+    (sampled medians, custom callables) fall back to exactly that sequential
+    loop, so the contract holds trivially.  (The cell-based kd-tree releases
+    a fresh grid per release, so its variant wrapper builds release by
+    release.)
 
     ``structure`` optionally hands in a prebuilt
     :class:`~repro.core.flatbuild.FlatTree` for a **data-independent** rule —

@@ -11,10 +11,11 @@ breadth-first structure-of-arrays form — one level at a time:
   stable argsort; data-dependent rules (kd, hybrid, the Hilbert binary split)
   call the **ragged-batch private medians** of :mod:`repro.privacy.median`
   once per stage, whose node-major draw layout consumes the RNG stream in
-  exactly the same order as the pointer reference builder.  Only rules
-  without a vectorized path (the cell-based kd split, custom callables) fall
-  back to per-node :meth:`~repro.core.splits.SplitRule.split` calls in BFS
-  order;
+  exactly the same order as the pointer reference builder; the cell-based kd
+  split reads each stage's cuts off its noisy grid in one batched
+  :func:`~repro.core.splits.grid_medians` call.  Only rules without a
+  vectorized path (custom rules and median callables) fall back to per-node
+  :meth:`~repro.core.splits.SplitRule.split` calls in BFS order;
 * noise: each level's Laplace draws happen as **one batched vector** —
   bitwise identical to per-node scalar draws from the same generator, since
   NumPy fills an array by repeating the scalar sampler;

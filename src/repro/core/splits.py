@@ -54,6 +54,7 @@ __all__ = [
     "HybridSplit",
     "CellKDSplit",
     "grid_median_along_axis",
+    "grid_medians",
 ]
 
 #: One child produced by a split: its rectangle, the points routed to it, and
@@ -151,6 +152,75 @@ def _partition(rect_list: List[Rect], points: np.ndarray, domain: Domain) -> Lis
             child_points = points
         results.append((child_rect, child_points))
     return results
+
+
+def _kd_route_stage(pts: np.ndarray, seg: np.ndarray, sides: List[np.ndarray], axis: int,
+                    cuts: np.ndarray, key: np.ndarray, dom_hi: float):
+    """Append each point's side (0 low, 1 high) of its cut ``cuts[key]`` along
+    ``axis`` to ``sides``.
+
+    A point exactly on a cut that ``domain_aware_mask`` treats as closed (the
+    domain's upper face) belongs to *both* children in the reference: it
+    keeps the low side and a copy is appended on the high side.  Returns
+    ``(pts, seg, sides, duplicated)``.
+    """
+    values = pts[:, axis]
+    cut = cuts[key]
+    side = (values >= cut).astype(np.int64)
+    dup = np.isclose(cuts, dom_hi)[key] & (values == cut)
+    if not np.any(dup):
+        return pts, seg, sides + [side], False
+    side[dup] = 0
+    copies = np.ones(int(np.count_nonzero(dup)), dtype=np.int64)
+    return (np.concatenate([pts, pts[dup]], axis=0), np.concatenate([seg, seg[dup]]),
+            [np.concatenate([s, s[dup]]) for s in sides] + [np.concatenate([side, copies])],
+            True)
+
+
+def _route_kd_level(lo: np.ndarray, hi: np.ndarray, points: np.ndarray,
+                    point_node: np.ndarray, axis_a: int, axis_b: int, domain: Domain,
+                    split_a: np.ndarray, stage_b) -> Tuple[np.ndarray, np.ndarray,
+                                                           np.ndarray, np.ndarray, bool]:
+    """Route a level through a flattened (fanout-4) kd split and build its children.
+
+    Shared by :class:`KDSplit` and :class:`CellKDSplit`, which differ only in
+    where the cut values come from.  ``split_a`` holds one stage-A cut per
+    node along ``axis_a``; ``stage_b(points, half)`` returns the ``2k``
+    stage-B cuts along ``axis_b`` (low half of node ``j`` at ``2j``, high half
+    at ``2j + 1``) given the level's points after stage A and each point's
+    half index.  Cuts are clamped into their node as ``Rect.split_at`` does,
+    and points are routed exactly as the per-node :func:`_partition` routes
+    them.
+
+    Returns ``(child_lo, child_hi, child_of_point, points, duplicated)`` with
+    the children in the scalar order (lowA, lowB), (lowA, highB), (highA,
+    lowB), (highA, highB).
+    """
+    k, dims = lo.shape
+    dom_hi = np.asarray(domain.rect.hi, dtype=float)
+    split_a = np.minimum(np.maximum(split_a, lo[:, axis_a]), hi[:, axis_a])
+    pts, seg, sides, dup_a = _kd_route_stage(points, point_node, [], axis_a, split_a,
+                                             point_node, dom_hi[axis_a])
+    half = seg * 2 + sides[0]
+    split_b = np.minimum(np.maximum(stage_b(pts, half), np.repeat(lo[:, axis_b], 2)),
+                         np.repeat(hi[:, axis_b], 2))
+    pts, seg, (side_a, side_b), dup_b = _kd_route_stage(pts, seg, sides, axis_b, split_b,
+                                                        half, dom_hi[axis_b])
+
+    child_lo = np.repeat(lo[:, None, :], 4, axis=1).astype(float)
+    child_hi = np.repeat(hi[:, None, :], 4, axis=1).astype(float)
+    child_hi[:, 0, axis_a] = split_a
+    child_hi[:, 1, axis_a] = split_a
+    child_lo[:, 2, axis_a] = split_a
+    child_lo[:, 3, axis_a] = split_a
+    split_b2 = split_b.reshape(k, 2)
+    child_hi[:, 0, axis_b] = split_b2[:, 0]
+    child_lo[:, 1, axis_b] = split_b2[:, 0]
+    child_hi[:, 2, axis_b] = split_b2[:, 1]
+    child_lo[:, 3, axis_b] = split_b2[:, 1]
+    child_of_point = seg * 4 + side_a * 2 + side_b
+    return (child_lo.reshape(k * 4, dims), child_hi.reshape(k * 4, dims),
+            child_of_point, pts, dup_a or dup_b)
 
 
 class SplitRule(ABC):
@@ -471,85 +541,40 @@ class KDSplit(SplitRule):
                 uni_a = (mask_u, em_u)
         sorted_a = vals_a if order_a is None else vals_a[order_a]
         split_a = run_batch(sorted_a, offs_a, lo_a, hi_a, uni_a, eps_stage)
-        split_a = np.minimum(np.maximum(split_a, lo_a), hi_a)  # Rect.split_at clamp
-
-        duplicated = False
-        if n_pts:
-            at_split = pts[:, axis_a] == split_a[seg]
-            dup_a = np.isclose(split_a, dom_hi[axis_a])[seg] & at_split
-            side_a = (pts[:, axis_a] >= split_a[seg]).astype(np.int64)
-            if np.any(dup_a):
-                # The reference's domain-closed upper face routes these points
-                # to both halves: original to the low child, a copy to the high.
-                duplicated = True
-                side_a[dup_a] = 0
-                pts = np.concatenate([pts, pts[dup_a]], axis=0)
-                seg = np.concatenate([seg, seg[dup_a]])
-                side_a = np.concatenate(
-                    [side_a, np.ones(int(np.count_nonzero(dup_a)), dtype=np.int64)])
-                n_pts = pts.shape[0]
-        else:
-            side_a = np.empty(0, dtype=np.int64)
 
         # ---- stage B: one private median per half along axis_b (low, then high)
-        half = seg * 2 + side_a
-        vals_b = pts[:, axis_b] if n_pts else np.empty(0)
-        if n_pts:
-            order_b = np.argsort(vals_b)  # equal floats are identical: no stability needed
-            order_b = order_b[np.argsort(half[order_b], kind="stable")]
-        else:
-            order_b = np.empty(0, dtype=np.int64)
-        counts_b = (np.bincount(half, minlength=2 * k).astype(np.int64)
-                    if n_pts else np.zeros(2 * k, dtype=np.int64))
-        offs_b = np.concatenate(([0], np.cumsum(counts_b)))
         lo_b = np.repeat(lo[:, axis_b], 2)
         hi_b = np.repeat(hi[:, axis_b], 2)
-        uni_b = None
-        if needs_draws:
-            if draws_per_value == 0:
-                uni_b = u_level[:, 1:, :].reshape(2 * k, d)
+
+        def stage_b(pts_b, half):
+            n_b = pts_b.shape[0]
+            vals_b = pts_b[:, axis_b] if n_b else np.empty(0)
+            if n_b:
+                order_b = np.argsort(vals_b)  # equal floats are identical: no stability needed
+                order_b = order_b[np.argsort(half[order_b], kind="stable")]
             else:
-                b_start = np.empty(2 * k, dtype=np.int64)
-                b_start[0::2] = node_base[:-1] + counts_node + d
-                b_start[1::2] = b_start[0::2] + counts_b[0::2] + d
-                seg_sorted = np.repeat(np.arange(2 * k, dtype=np.int64), counts_b)
-                rank = np.arange(n_pts, dtype=np.int64) - offs_b[:-1][seg_sorted]
-                mask_u = u_level[b_start[seg_sorted] + rank]
-                em_u = u_level[(b_start + counts_b)[:, None] + np.arange(d)[None, :]]
-                uni_b = (mask_u, em_u)
-        split_b = run_batch(vals_b[order_b], offs_b, lo_b, hi_b, uni_b,
-                            np.repeat(eps_stage, 2))
-        split_b = np.minimum(np.maximum(split_b, lo_b), hi_b)
+                order_b = np.empty(0, dtype=np.int64)
+            counts_b = (np.bincount(half, minlength=2 * k).astype(np.int64)
+                        if n_b else np.zeros(2 * k, dtype=np.int64))
+            offs_b = np.concatenate(([0], np.cumsum(counts_b)))
+            uni_b = None
+            if needs_draws:
+                if draws_per_value == 0:
+                    uni_b = u_level[:, 1:, :].reshape(2 * k, d)
+                else:
+                    b_start = np.empty(2 * k, dtype=np.int64)
+                    b_start[0::2] = node_base[:-1] + counts_node + d
+                    b_start[1::2] = b_start[0::2] + counts_b[0::2] + d
+                    seg_sorted = np.repeat(np.arange(2 * k, dtype=np.int64), counts_b)
+                    rank = np.arange(n_b, dtype=np.int64) - offs_b[:-1][seg_sorted]
+                    mask_u = u_level[b_start[seg_sorted] + rank]
+                    em_u = u_level[(b_start + counts_b)[:, None] + np.arange(d)[None, :]]
+                    uni_b = (mask_u, em_u)
+            return run_batch(vals_b[order_b], offs_b, lo_b, hi_b, uni_b,
+                             np.repeat(eps_stage, 2))
 
-        if n_pts:
-            at_split = pts[:, axis_b] == split_b[half]
-            dup_b = np.isclose(split_b, dom_hi[axis_b])[half] & at_split
-            side_b = (pts[:, axis_b] >= split_b[half]).astype(np.int64)
-            if np.any(dup_b):
-                duplicated = True
-                side_b[dup_b] = 0
-                pts = np.concatenate([pts, pts[dup_b]], axis=0)
-                seg = np.concatenate([seg, seg[dup_b]])
-                side_a = np.concatenate([side_a, side_a[dup_b]])
-                side_b = np.concatenate(
-                    [side_b, np.ones(int(np.count_nonzero(dup_b)), dtype=np.int64)])
-        else:
-            side_b = np.empty(0, dtype=np.int64)
-
-        # ---- assemble the fanout-4 children in the scalar order:
-        # (lowA, lowB), (lowA, highB), (highA, lowB), (highA, highB)
-        child_lo = np.repeat(lo[:, None, :], 4, axis=1).astype(float)
-        child_hi = np.repeat(hi[:, None, :], 4, axis=1).astype(float)
-        child_hi[:, 0, axis_a] = split_a
-        child_hi[:, 1, axis_a] = split_a
-        child_lo[:, 2, axis_a] = split_a
-        child_lo[:, 3, axis_a] = split_a
-        split_b2 = split_b.reshape(k, 2)
-        child_hi[:, 0, axis_b] = split_b2[:, 0]
-        child_lo[:, 1, axis_b] = split_b2[:, 0]
-        child_hi[:, 2, axis_b] = split_b2[:, 1]
-        child_lo[:, 3, axis_b] = split_b2[:, 1]
-        child_of_point = seg * 4 + side_a * 2 + side_b
+        child_lo, child_hi, child_of_point, pts, duplicated = _route_kd_level(
+            lo, hi, pts, seg, axis_a, axis_b, domain, split_a, stage_b)
         if n_pts and not duplicated:
             # Hand the level back sorted by (child, axis_a): refining the
             # stage-A order by child is a cheap stable integer sort, and it
@@ -558,8 +583,7 @@ class KDSplit(SplitRule):
             ret = base[np.argsort(child_of_point[base], kind="stable")]
             child_of_point = child_of_point[ret]
             pts = pts[ret]
-        return (child_lo.reshape(k * 4, dims), child_hi.reshape(k * 4, dims),
-                child_of_point, pts)
+        return child_lo, child_hi, child_of_point, pts
 
 
 @dataclass(frozen=True)
@@ -611,51 +635,105 @@ class HybridSplit(SplitRule):
                                        domain, 0.0, rng=rng)
 
 
-def grid_median_along_axis(noisy: NoisyGrid, rect: Rect, axis: int) -> float:
-    """Approximate median coordinate along ``axis`` of the noisy grid mass in ``rect``.
+def _cell_coverage(e0, e1, left, right):
+    """Covered fraction of the cells ``[e0, e1)`` by the intervals ``[left, right)``
+    (broadcasting), the per-axis weighting of ``UniformGrid.range_count``."""
+    width = e1 - e0
+    covered = np.minimum(e1, right) - np.maximum(e0, left)
+    return np.clip(covered, 0.0, None) / np.where(width > 0, width, 1.0)
 
-    Used by the cell-based kd-tree [26]: the per-cell noisy counts inside
-    ``rect`` are aggregated into a 1-D profile along ``axis`` (cells partially
-    covered contribute proportionally to their covered area), negative counts
-    are floored at zero, and the half-mass coordinate is interpolated.
+
+def _covered_cells(edges: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """First and last index of the cells each interval ``[left, right)`` covers
+    (clamped into the grid: callers discard intervals that miss it)."""
+    last = edges.shape[0] - 2
+    first = np.clip(np.searchsorted(edges[1:], left, side="right"), 0, last)
+    return first, np.clip(np.searchsorted(edges[:-1], right, side="left") - 1, first, last)
+
+
+#: Rects per :func:`grid_medians` block (answers never depend on the blocking).
+_GRID_MEDIAN_BLOCK = 256
+
+
+def grid_medians(noisy: NoisyGrid, lo: np.ndarray, hi: np.ndarray, axis: int) -> np.ndarray:
+    """Approximate median coordinate along ``axis`` of the noisy grid mass in each rect.
+
+    Used by the cell-based kd-tree [26]: the per-cell noisy counts inside a
+    rect, floored at zero, are aggregated into a 1-D profile along ``axis``
+    (cells partially covered contribute in proportion to their covered area)
+    and the half-mass coordinate is interpolated.  ``lo`` / ``hi`` are the
+    ``(k, 2)`` bounds of ``k`` rects, answered in one call; a rect missing
+    the domain or holding no mass gets its centre.
+
+    On the other axis only a rect's two edge cells are partly covered — every
+    interior cell has coverage exactly 1 — so against a prefix-sum table over
+    that axis each profile entry costs three reads, and a call is
+    ``O(k * cells per axis)`` rather than ``O(k * cells)``.  Every rect's
+    answer is bitwise independent of the rest of the batch, so a batch of one
+    (:func:`grid_median_along_axis`) is the per-node reference.
     """
     grid = noisy.grid
-    if not 0 <= axis < grid.domain.dims:
+    dims = grid.domain.dims
+    if not 0 <= axis < dims:
         raise ValueError("axis out of range")
-    overlap = grid.domain.rect.intersection(rect)
-    if overlap is None:
-        return rect.center[axis]
-
-    # Per-axis coverage fraction of every cell (same machinery as range_count).
-    fractions = []
-    for ax in range(grid.domain.dims):
-        edges = grid.edges(ax)
-        left = np.maximum(edges[:-1], overlap.lo[ax])
-        right = np.minimum(edges[1:], overlap.hi[ax])
-        width = edges[1:] - edges[:-1]
-        frac = np.clip(right - left, 0.0, None) / np.where(width > 0, width, 1.0)
-        fractions.append(frac)
-    weight = fractions[0]
-    for frac in fractions[1:]:
-        weight = np.multiply.outer(weight, frac)
-    weighted = np.clip(noisy.counts, 0.0, None) * weight
-
-    other_axes = tuple(ax for ax in range(grid.domain.dims) if ax != axis)
-    profile = weighted.sum(axis=other_axes) if other_axes else weighted
-    total = profile.sum()
+    if dims != 2:
+        raise ValueError("grid medians need a 2-D grid")
+    lo = np.asarray(lo, dtype=float).reshape(-1, 2)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 2)
+    if lo.shape[0] > _GRID_MEDIAN_BLOCK:
+        # Blocks of rects keep every temporary O(block * cells per axis).
+        return np.concatenate([
+            grid_medians(noisy, lo[s:s + _GRID_MEDIAN_BLOCK], hi[s:s + _GRID_MEDIAN_BLOCK], axis)
+            for s in range(0, lo.shape[0], _GRID_MEDIAN_BLOCK)])
+    other = 1 - axis
+    ov_lo = np.maximum(lo, np.asarray(grid.domain.rect.lo, dtype=float))
+    ov_hi = np.minimum(hi, np.asarray(grid.domain.rect.hi, dtype=float))
+    inside = np.all(ov_lo < ov_hi, axis=1)
     edges = grid.edges(axis)
-    if total <= 0:
-        return rect.center[axis]
-    cum = np.cumsum(profile)
+    edges_o = grid.edges(other)
+    left, right = ov_lo[:, other], ov_hi[:, other]
+    j_lo, j_hi = _covered_cells(edges_o, left, right)
+    i_lo, i_hi = _covered_cells(edges, ov_lo[:, axis], ov_hi[:, axis])
+
+    # cells[j, i]: clipped count at index j along ``other`` and a + i along
+    # ``axis``, cut to the window the rects cover; prefix[j] sums cells[:j].
+    # The prefix starts at row 0 and a rect's profile is zero outside its own
+    # cells, so no answer depends on how wide the batch's window is.
+    a, b = int(i_lo.min()), int(i_hi.max()) + 1
+    counts = noisy.counts.T if axis == 0 else noisy.counts
+    cells = np.ascontiguousarray(np.clip(counts[:int(j_hi.max()) + 1, a:b], 0.0, None))
+    prefix = np.zeros((cells.shape[0] + 1, cells.shape[1]))
+    np.cumsum(cells, axis=0, out=prefix[1:])
+
+    f_lo = _cell_coverage(edges_o[j_lo], edges_o[j_lo + 1], left, right)
+    f_hi = np.where(j_hi > j_lo,
+                    _cell_coverage(edges_o[j_hi], edges_o[j_hi + 1], left, right), 0.0)
+    interior = prefix[np.maximum(j_hi, j_lo + 1)] - prefix[j_lo + 1]
+    mass = f_lo[:, None] * cells[j_lo] + interior + f_hi[:, None] * cells[j_hi]
+
+    profile = _cell_coverage(edges[a:b], edges[a + 1:b + 1], ov_lo[:, axis, None],
+                             ov_hi[:, axis, None]) * mass
+    cum = np.cumsum(profile, axis=1)
+    total = cum[:, -1]
     half = total / 2.0
-    idx = int(np.searchsorted(cum, half))
-    idx = min(idx, profile.size - 1)
-    prev = cum[idx - 1] if idx > 0 else 0.0
-    in_cell = profile[idx]
-    frac = 0.5 if in_cell <= 0 else (half - prev) / in_cell
-    frac = min(max(frac, 0.0), 1.0)
-    value = float(edges[idx] + frac * (edges[idx + 1] - edges[idx]))
-    return float(min(max(value, rect.lo[axis]), rect.hi[axis]))
+    # cum is non-decreasing, so counting entries below ``half`` is searchsorted
+    pos = np.minimum(np.count_nonzero(cum < half[:, None], axis=1), b - a - 1)
+    rows = np.arange(profile.shape[0])
+    prev = np.where(pos > 0, cum[rows, pos - 1], 0.0)
+    in_cell = profile[rows, pos]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(in_cell > 0, (half - prev) / in_cell, 0.5)
+    frac = np.minimum(np.maximum(frac, 0.0), 1.0)
+    idx = a + pos
+    value = edges[idx] + frac * (edges[idx + 1] - edges[idx])
+    value = np.minimum(np.maximum(value, lo[:, axis]), hi[:, axis])
+    centre = (lo[:, axis] + hi[:, axis]) / 2.0
+    return np.where(inside & (total > 0), value, centre)
+
+
+def grid_median_along_axis(noisy: NoisyGrid, rect: Rect, axis: int) -> float:
+    """:func:`grid_medians` for a single rect (the per-node reference path)."""
+    return float(grid_medians(noisy, np.asarray([rect.lo]), np.asarray([rect.hi]), axis)[0])
 
 
 @dataclass(frozen=True)
@@ -692,3 +770,21 @@ class CellKDSplit(SplitRule):
             lo_rect, hi_rect = half_rect.split_at(1, split_y)
             children.extend(_partition([lo_rect, hi_rect], half_points, domain))
         return children
+
+    def level_random_draws(self, level, height, n_nodes, epsilon_median):
+        return 0  # the cuts are read off the released grid: no RNG, no budget
+
+    def split_level(self, lo, hi, points, point_node, level, height, domain,
+                    epsilon_median, rng=None):
+        """Split a whole level on grid medians: every node on x, then every
+        half on y, each stage one :func:`grid_medians` call."""
+        split_x = grid_medians(self.noisy_grid, lo, hi, axis=0)
+        half_lo = np.repeat(lo, 2, axis=0)
+        half_hi = np.repeat(hi, 2, axis=0)
+        half_hi[0::2, 0] = split_x
+        half_lo[1::2, 0] = split_x
+        split_y = grid_medians(self.noisy_grid, half_lo, half_hi, axis=1)
+        child_lo, child_hi, child_of_point, pts, _ = _route_kd_level(
+            lo, hi, np.asarray(points, dtype=float), np.asarray(point_node, dtype=np.int64),
+            0, 1, domain, split_x, lambda pts_b, half: split_y)
+        return child_lo, child_hi, child_of_point, pts

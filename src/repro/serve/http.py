@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.batch import queries_to_arrays
 from ..engine.io import load_engine
 from ..obs import counter_add, gauge_max
 from .faults import FaultInjector, FaultSpec
@@ -269,8 +270,9 @@ class QueryService:
             epsilon = float(epsilon)
         except (TypeError, ValueError):
             raise _HttpError(400, {"error": "epsilon must be a number"})
-        if epsilon <= 0:
-            raise _HttpError(400, {"error": "epsilon must be positive"})
+        if not np.isfinite(epsilon) or epsilon <= 0:
+            # NaN would pass a plain ``<= 0`` test and poison the ledger.
+            raise _HttpError(400, {"error": "epsilon must be positive and finite"})
 
         self._requests += 1
         request_id = self._requests
@@ -319,6 +321,12 @@ class QueryService:
         if rows.ndim != 2 or rows.shape[1] != 2 * dims:
             raise _HttpError(400, {"error": f"each query row must have {2 * dims} "
                                             f"values (lo..., hi...) for a {dims}-d engine"})
+        # The engine's own box check, run before the charge: a bad row must
+        # cost no budget.
+        try:
+            queries_to_arrays(rows, dims)
+        except ValueError as exc:
+            raise _HttpError(400, {"error": str(exc)})
         return rows
 
     def _query_work(self, analyst: str, rows: np.ndarray, epsilon: float,

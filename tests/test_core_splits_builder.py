@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from repro.core.builder import BudgetSplit, build_psd, populate_noisy_counts
-from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit, grid_median_along_axis
+from repro.core.splits import (
+    CellKDSplit,
+    HybridSplit,
+    KDSplit,
+    QuadSplit,
+    grid_median_along_axis,
+    grid_medians,
+)
 from repro.data import uniform_points
 from repro.geometry import Domain, Rect
-from repro.index import UniformGrid
+from repro.index import NoisyGrid, UniformGrid
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +137,91 @@ class TestCellKDSplit:
 
     def test_not_data_dependent(self, noisy_grid):
         assert CellKDSplit(noisy_grid=noisy_grid).data_dependent_levels(5) == []
+
+
+def dense_grid_median(noisy, rect, axis):
+    """Test oracle: the per-node dense formula ``clip(C) * outer(fx, fy)``."""
+    grid = noisy.grid
+    overlap = grid.domain.rect.intersection(rect)
+    if overlap is None:
+        return rect.center[axis]
+    fractions = []
+    for ax in range(grid.domain.dims):
+        edges = grid.edges(ax)
+        left = np.maximum(edges[:-1], overlap.lo[ax])
+        right = np.minimum(edges[1:], overlap.hi[ax])
+        width = edges[1:] - edges[:-1]
+        fractions.append(np.clip(right - left, 0.0, None) / np.where(width > 0, width, 1.0))
+    weighted = np.clip(noisy.counts, 0.0, None) * np.multiply.outer(*fractions)
+    profile = weighted.sum(axis=1 - axis)
+    total = profile.sum()
+    if total <= 0:
+        return rect.center[axis]
+    edges = grid.edges(axis)
+    cum = np.cumsum(profile)
+    half = total / 2.0
+    idx = min(int(np.searchsorted(cum, half)), profile.size - 1)
+    prev = cum[idx - 1] if idx > 0 else 0.0
+    in_cell = profile[idx]
+    frac = 0.5 if in_cell <= 0 else (half - prev) / in_cell
+    frac = min(max(frac, 0.0), 1.0)
+    value = float(edges[idx] + frac * (edges[idx + 1] - edges[idx]))
+    return min(max(value, rect.lo[axis]), rect.hi[axis])
+
+
+def random_rects(rng, grid, k):
+    """Rects of every awkward kind: straddling or outside the domain,
+    zero-width on one axis, and exactly one grid cell."""
+    lo_d = np.asarray(grid.domain.rect.lo)
+    span = np.asarray(grid.domain.rect.hi) - lo_d
+    a = lo_d - 0.3 * span + 1.6 * span * rng.random((k, 2))
+    b = lo_d - 0.3 * span + 1.6 * span * rng.random((k, 2))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    flat = rng.random(k) < 0.1
+    lo[flat, 1] = hi[flat, 1]
+    cell = rng.random(k) < 0.1
+    index = np.stack([rng.integers(0, n, k) for n in grid.shape], axis=1)
+    widths = span / np.asarray(grid.shape)
+    lo[cell] = lo_d + index[cell] * widths
+    hi[cell] = lo[cell] + widths
+    return lo, hi
+
+
+class TestGridMedians:
+    @pytest.fixture(scope="class", params=[1, 7, 32])
+    def noisy_grid(self, request, domain, points):
+        grid = UniformGrid(domain=domain, shape=(request.param,) * 2).fit(points)
+        return grid.noisy_counts(0.5, rng=np.random.default_rng(request.param))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_batch_matches_single_rect_bitwise_and_dense_oracle(self, noisy_grid, axis):
+        lo, hi = random_rects(np.random.default_rng(axis), noisy_grid.grid, 300)
+        batch = grid_medians(noisy_grid, lo, hi, axis)
+        for r in range(lo.shape[0]):
+            rect = Rect(tuple(lo[r]), tuple(hi[r]))
+            single = grid_median_along_axis(noisy_grid, rect, axis)
+            assert single == batch[r]
+            expected = dense_grid_median(noisy_grid, rect, axis)
+            assert abs(single - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+    def test_outside_and_zero_width_rects_get_their_centre(self, noisy_grid):
+        lo = np.array([[2.0, 2.0], [0.25, 0.5], [-1.0, 0.2]])
+        hi = np.array([[3.0, 4.0], [0.75, 0.5], [0.0, 0.6]])
+        assert np.array_equal(grid_medians(noisy_grid, lo, hi, axis=0), [2.5, 0.5, -0.5])
+        assert np.array_equal(grid_medians(noisy_grid, lo, hi, axis=1), [3.0, 0.5, 0.4])
+
+    def test_all_negative_grid_returns_centre(self, domain):
+        grid = UniformGrid(domain=domain, shape=(16, 16))
+        noisy = NoisyGrid(grid=grid, counts=-np.ones((16, 16)), epsilon=1.0)
+        lo, hi = random_rects(np.random.default_rng(1), grid, 50)
+        for axis in (0, 1):
+            assert np.array_equal(grid_medians(noisy, lo, hi, axis), (lo[:, axis] + hi[:, axis]) / 2.0)
+
+    def test_rejects_non_planar_grids(self):
+        grid = UniformGrid(domain=Domain.unit(3), shape=(4, 4, 4))
+        noisy = NoisyGrid(grid=grid, counts=np.ones((4, 4, 4)), epsilon=1.0)
+        with pytest.raises(ValueError, match="2-D"):
+            grid_medians(noisy, np.zeros((1, 3)), np.ones((1, 3)), axis=0)
 
 
 # ----------------------------------------------------------------------

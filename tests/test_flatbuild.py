@@ -20,10 +20,11 @@ from repro.core.flatbuild import FlatTree, flatten_tree, ols_beta
 from repro.core.hilbert_rtree import BinaryMedianSplit, build_private_hilbert_rtree
 from repro.core.kdtree import build_private_kdtree
 from repro.core.postprocess import apply_ols, check_consistency, ols_estimate_tree
-from repro.core.splits import HybridSplit, KDSplit, QuadSplit
+from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit, grid_medians
 from repro.data import uniform_points
 from repro.engine.flat import COMPILED_ENGINE_KEY, compile_psd
 from repro.geometry import Domain, Rect
+from repro.index import NoisyGrid, UniformGrid
 
 DOMAIN = Domain.unit(2)
 POINTS = uniform_points(1_500, DOMAIN, rng=np.random.default_rng(7))
@@ -45,6 +46,16 @@ def build_pair(rule, height, budget, seed=11, **kwargs):
     flat = build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, count_budget=budget,
                      rng=seed, layout="flat", **kwargs)
     return pointer, flat
+
+
+def forbid_per_node_splits(monkeypatch):
+    """Make the per-node split fallback of the flat builder a hard failure."""
+    import repro.core.flatbuild as flatbuild
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-node split fallback must not run for this rule")
+
+    monkeypatch.setattr(flatbuild, "_split_level_per_node", forbidden)
 
 
 def bfs_nodes(psd):
@@ -140,11 +151,45 @@ class TestLayoutParity:
         q = Rect((0.2, 0.1), (0.7, 0.8))
         assert flat_tree.range_query(q) == pointer_tree.range_query(q)
 
-    def test_cell_kdtree_parity(self):
-        kwargs = dict(height=3, epsilon=1.0, variant="kd-cell", cell_resolution=32)
-        pointer_psd = build_private_kdtree(POINTS, DOMAIN, rng=9, layout="pointer", **kwargs)
-        flat_psd = build_private_kdtree(POINTS, DOMAIN, rng=9, layout="flat", **kwargs)
-        assert_same_tree(pointer_psd, flat_psd)
+    def test_cell_kdtree_parity(self, monkeypatch):
+        forbid_per_node_splits(monkeypatch)
+        for resolution in (1, 7, 32, 256):
+            for height in range(7):
+                kwargs = dict(height=height, epsilon=1.0, variant="kd-cell",
+                              cell_resolution=resolution)
+                pointer_psd = build_private_kdtree(POINTS, DOMAIN, rng=9, layout="pointer",
+                                                   **kwargs)
+                flat_psd = build_private_kdtree(POINTS, DOMAIN, rng=9, layout="flat", **kwargs)
+                assert_same_tree(pointer_psd, flat_psd)
+
+    def test_cell_kdtree_parity_with_splits_on_the_domain_top_face(self, monkeypatch):
+        # All grid mass sits in the top-right cell, so the root's cuts land
+        # within isclose of the domain's upper faces; points placed exactly on
+        # those cuts (and on the faces) take the route-to-both-children path.
+        forbid_per_node_splits(monkeypatch)
+        domain = Domain(Rect((1000.0, 1000.0), (1001.0, 1001.0)))
+        grid = UniformGrid(domain=domain, shape=(256, 256))
+        counts = np.zeros(grid.shape)
+        counts[-1, -1] = 100.0
+        rule = CellKDSplit(noisy_grid=NoisyGrid(grid=grid, counts=counts, epsilon=1.0))
+        root_lo = np.array([domain.rect.lo])
+        root_hi = np.array([domain.rect.hi])
+        cut_x = grid_medians(rule.noisy_grid, root_lo, root_hi, axis=0)[0]
+        cut_y = grid_medians(rule.noisy_grid, [[cut_x, 1000.0]], root_hi, axis=1)[0]
+        rng = np.random.default_rng(4)
+        points = np.concatenate([
+            uniform_points(200, domain, rng=rng),
+            np.column_stack([np.full(20, cut_x), 1000.0 + rng.random(20)]),
+            np.column_stack([1000.0 + rng.random(20), np.full(20, cut_y)]),
+            [[cut_x, cut_y], [1001.0, 1001.0], [cut_x, 1001.0], [1001.0, cut_y]],
+        ])
+        for height in (1, 3):
+            kwargs = dict(epsilon=1.0, rng=5, postprocess=True)
+            pointer_psd = build_psd(points, domain, height, rule, layout="pointer", **kwargs)
+            flat_psd = build_psd(points, domain, height, rule, layout="flat", **kwargs)
+            assert_same_tree(pointer_psd, flat_psd)
+            tree = flat_psd.flat_tree
+            assert tree.true_count[1:5].sum() > points.shape[0]  # duplication ran
 
     def test_noiseless_counts_parity(self):
         pointer_psd, flat_psd = build_pair(KDSplit(median_method="true"), 3, "geometric",

@@ -264,6 +264,35 @@ def test_malformed_requests_get_4xx_never_hang(engine, tmp_path) -> None:
         _shutdown(service)
 
 
+def test_bad_query_boxes_get_400_before_any_charge(engine, tmp_path) -> None:
+    service = _service(engine, tmp_path, charge_epsilon=0.01)
+    wal = tmp_path / "wal.jsonl"
+    try:
+        with ServiceThread(service) as thread:
+            port = thread.address[1]
+            status, _, _ = _request(port, "POST", "/query",
+                                    {"analyst": "alice", "queries": ROWS[:1]})
+            assert status == 200
+            spent, wal_bytes = service.ledger.spend("alice"), wal.stat().st_size
+            bad_rows = [
+                [[-123.0, float("nan"), -121.0, 48.0]],      # non-finite bound
+                [ROWS[0], [-121.0, 46.0, -123.0, 48.0]],     # lo > hi
+            ]
+            for queries in bad_rows:
+                status, payload, _ = _request(port, "POST", "/query",
+                                              {"analyst": "alice", "queries": queries})
+                assert status == 400, payload
+                assert "finite with lo <= hi" in payload["error"]
+            status, _, _ = _request(port, "POST", "/query", {"analyst": "alice",
+                                                             "queries": ROWS[:1],
+                                                             "epsilon": float("nan")})
+            assert status == 400
+            assert service.ledger.spend("alice") == spent
+            assert wal.stat().st_size == wal_bytes
+    finally:
+        _shutdown(service)
+
+
 # ----------------------------------------------------------------------
 # Worker supervision under deterministic faults
 # ----------------------------------------------------------------------
