@@ -15,6 +15,9 @@ Runnable two ways:
 * ``python benchmarks/bench_engine_throughput.py --output BENCH_engine.json``
   — standalone, writing the series as JSON so the repo can track a
   throughput trajectory across PRs.
+
+Both ways gate every row on answer parity (``max_abs_diff < 1e-6``) and a
+``>= 5x`` flat-over-recursive speedup; the standalone run exits 1 on a miss.
 """
 
 from __future__ import annotations
@@ -103,6 +106,20 @@ def run_engine_throughput(
     return rows
 
 
+def gate_failures(rows: List[Dict[str, object]]) -> List[str]:
+    """The benchmark's gates, one message per violated row."""
+    failures = []
+    for row in rows:
+        # Answers must agree to float-summation noise; the paper's counts are
+        # O(n_points), so 1e-6 absolute is far below one noisy point.
+        if not row["max_abs_diff"] < 1e-6:
+            failures.append(f"{row['variant']}: max_abs_diff {row['max_abs_diff']} >= 1e-6")
+        # The acceptance bar: >= 5x batch throughput over the recursive walk.
+        if not row["speedup"] >= 5.0:
+            failures.append(f"{row['variant']}: speedup {row['speedup']}x below 5x")
+    return failures
+
+
 def test_engine_throughput(benchmark, capsys, scale, bench_points, bench_domain):
     from conftest import report
 
@@ -120,12 +137,8 @@ def test_engine_throughput(benchmark, capsys, scale, bench_points, bench_domain)
         capsys,
     )
     assert {r["variant"] for r in rows} == set(ENGINE_VARIANTS)
-    for row in rows:
-        # Answers must agree to float-summation noise; the paper's counts are
-        # O(n_points), so 1e-6 absolute is far below one noisy point.
-        assert row["max_abs_diff"] < 1e-6, row
-        # The ISSUE's acceptance bar: >= 5x batch throughput at 1k queries.
-        assert row["speedup"] >= 5.0, row
+    failures = gate_failures(rows)
+    assert not failures, failures
 
 
 def main(argv=None) -> int:
@@ -152,7 +165,10 @@ def main(argv=None) -> int:
             "rows": rows,
         })
         print(f"written {args.output}")
-    return 0
+    failures = gate_failures(rows)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -6,20 +6,37 @@ frontier expansion**.  The state is a pair of parallel index arrays
 obligation, exactly the stack entries of the recursive reference in
 :mod:`repro.core.query`, but held all at once.  Each wavefront:
 
-1. drops pairs whose node does not intersect the query (half-open box test);
+1. tests every pair's node against its query (half-open intersection and
+   containment);
 2. credits *full* nodes (node rect contained in the query, released count
-   present) to their query's accumulator and retires them;
+   present) to their query and retires them;
 3. credits intersecting *partial leaves* with the uniformity fraction
    ``overlap_area / node_area``;
-4. expands every remaining pair into ``(q, child)`` pairs via the contiguous
-   BFS child ranges — a single ``np.repeat``, no Python per node.
+4. expands every remaining intersecting pair into ``(q, child)`` pairs via the
+   contiguous BFS child ranges — a single ``np.repeat``, no Python per node.
 
 Because children sit one level below their parents, the loop runs at most
-``height + 1`` iterations regardless of how many queries are in flight.  The
-same pass accumulates the estimate, ``n(Q)`` (number of counts summed,
-partial leaves included, matching :func:`repro.core.query.nodes_touched`) and
-the analytic variance ``Err(Q)`` of Equation (1) — partial leaves contribute
-``fraction^2 * Var`` like the reference.
+``height + 1`` iterations regardless of how many queries are in flight.
+
+**One walk, two consumers.**  The loop lives in one generator,
+``_frontier_levels``, which yields each wavefront's credits: the full-node
+``(query, node)`` ids and the partial-leaf ids with their fractions.
+:func:`batch_query` sums them into the estimate, ``n(Q)`` (number of counts
+summed, partial leaves included, matching
+:func:`repro.core.query.nodes_touched`) and the analytic variance ``Err(Q)``
+of Equation (1) — partial leaves contribute ``fraction^2 * Var`` like the
+reference.  :func:`compile_query_matrix` records the same credits as the rows
+of a sparse :class:`QueryMatrix`.
+
+**Gather rule.**  Per-pair ``(m, d)`` boxes are gathered with
+``array.take(idx, axis=0)`` and reduced over dims by combining their columns
+(``&`` for the box tests, ``*`` for the overlap area), never by 2-D fancy
+indexing (``lo[idx]``) or ``np.all(..., axis=1)``: numpy's generic paths for
+both cost about ten times a row ``take`` or a whole-column ufunc on these
+tall, two-column arrays, and they dominated the kernel.  Subsets are taken
+through one ``np.flatnonzero`` index each instead of boolean-mask copies of
+every per-pair array.  Both rewrites produce the same values in the same
+order, so answers are bitwise unchanged.
 
 The evaluator is **storage-dtype agnostic**: the engine's counts may be
 stored as float32 and its child offsets as int32 (the reduced-precision
@@ -34,13 +51,13 @@ geometry is always float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..geometry.rect import Rect
 from ..obs import counter_add, gauge_max, metrics_enabled, trace_span
-from .flat import FlatPSD, expand_ranges
+from .flat import FlatPSD
 
 __all__ = [
     "BatchQueryResult",
@@ -135,13 +152,6 @@ def _checked(qlo: np.ndarray, qhi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return qlo, qhi
 
 
-def _expand_children(
-    q_idx: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Turn (query, node) pairs into (query, child) pairs for all children."""
-    return np.repeat(q_idx, ends - starts), expand_ranges(starts, ends)
-
-
 def batch_query(
     engine: FlatPSD,
     queries: Union[Iterable[QueryInput], np.ndarray],
@@ -191,89 +201,114 @@ def batch_query(
         return _evaluate_frontier(engine, qlo, qhi, use_uniformity)
 
 
+def _across_dims(op: np.ufunc, values: np.ndarray) -> np.ndarray:
+    """``op.reduce(values, axis=1)`` for an ``(m, d)`` array, one column at a time.
+
+    Columns are combined in order, so the values are the same; numpy's row
+    reduction over a short trailing axis costs about ten times this.
+    """
+    out = values[:, 0].copy()
+    for axis in range(1, values.shape[1]):
+        op(out, values[:, axis], out=out)
+    return out
+
+
+def _box_tests(
+    engine: FlatPSD, qlo: np.ndarray, qhi: np.ndarray, q_idx: np.ndarray, n_idx: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per pair: does the node meet the query (half-open), and does the query contain it?
+
+    The four gathered ``(m, d)`` boxes are the walk's largest temporaries; they
+    die with this call, before partial leaves re-gather their few rows.
+    """
+    node_lo = engine.lo.take(n_idx, axis=0)
+    node_hi = engine.hi.take(n_idx, axis=0)
+    cur_qlo = qlo.take(q_idx, axis=0)
+    cur_qhi = qhi.take(q_idx, axis=0)
+    hit = _across_dims(np.logical_and, (node_hi > cur_qlo) & (cur_qhi > node_lo))
+    contained = _across_dims(np.logical_and, (node_lo >= cur_qlo) & (node_hi <= cur_qhi))
+    return hit, contained
+
+
+def _frontier_levels(engine: FlatPSD, qlo: np.ndarray, qhi: np.ndarray) -> Iterator[tuple]:
+    """Walk the canonical decompositions of a query batch, one wavefront at a time.
+
+    Yields ``(size, full_q, full_n, partial_q, partial_n, fraction)`` per
+    wavefront: the number of pairs examined, the (query, node) ids of the full
+    nodes, and those of the partial leaves with their uniformity fractions,
+    each in frontier order.
+    """
+    n_queries = qlo.shape[0]
+    if n_queries == 0 or engine.n_nodes == 0:
+        return
+    # Wavefront: query q is examining node n, starting with every query at root.
+    q_idx = np.arange(n_queries, dtype=np.int64)
+    n_idx = np.zeros(n_queries, dtype=np.int64)
+    while q_idx.size:
+        hit, contained = _box_tests(engine, qlo, qhi, q_idx, n_idx)
+        has_count = engine.has_count.take(n_idx)
+        leaf = engine.is_leaf.take(n_idx)
+
+        full = hit & contained & has_count
+        fi = np.flatnonzero(full)
+        pi = np.flatnonzero(hit & leaf & has_count & ~contained)
+        pq = q_idx.take(pi)
+        pn = n_idx.take(pi)
+        overlap = _across_dims(
+            np.multiply,
+            np.minimum(engine.hi.take(pn, axis=0), qhi.take(pq, axis=0))
+            - np.maximum(engine.lo.take(pn, axis=0), qlo.take(pq, axis=0)),
+        )
+        node_area = engine.area.take(pn)
+        ok = np.flatnonzero((node_area > 0) & (overlap > 0))
+        yield (int(q_idx.size), q_idx.take(fi), n_idx.take(fi), pq.take(ok), pn.take(ok),
+               overlap.take(ok) / node_area.take(ok))
+
+        # Descend: one repeat of the stacked (query, child start - output
+        # offset) rows; adding the output position walks each child range.
+        di = np.flatnonzero(hit & ~full & ~leaf)
+        dn = n_idx.take(di)
+        starts = engine.child_start.take(dn)
+        counts = engine.child_end.take(dn) - starts
+        shift = starts - (np.cumsum(counts) - counts)
+        pairs = np.repeat(np.stack([q_idx.take(di), shift], axis=1), counts, axis=0)
+        q_idx, n_idx = pairs[:, 0], pairs[:, 1]
+        n_idx += np.arange(pairs.shape[0], dtype=np.int64)
+
+
 def _evaluate_frontier(
     engine: FlatPSD, qlo: np.ndarray, qhi: np.ndarray, use_uniformity: bool
 ) -> BatchQueryResult:
-    """One level-synchronous frontier pass over pre-normalised query bounds."""
+    """Sum every wavefront's credits into per-query estimates, n(Q) and Err(Q)."""
     n_queries = qlo.shape[0]
     estimates = np.zeros(n_queries, dtype=np.float64)
     touched = np.zeros(n_queries, dtype=np.int64)
     variances = np.zeros(n_queries, dtype=np.float64)
-    if n_queries == 0 or engine.n_nodes == 0:
-        return BatchQueryResult(estimates, touched, variances)
-
-    # Wavefront: query q is examining node n, starting with every query at root.
-    q_idx = np.arange(n_queries, dtype=np.int64)
-    n_idx = np.zeros(n_queries, dtype=np.int64)
     track_peak = metrics_enabled()
     peak = 0
 
-    while q_idx.size:
-        if track_peak and q_idx.size > peak:
-            peak = int(q_idx.size)
-        node_lo = engine.lo[n_idx]
-        node_hi = engine.hi[n_idx]
-        cur_qlo = qlo[q_idx]
-        cur_qhi = qhi[q_idx]
-
-        intersects = np.all((node_hi > cur_qlo) & (cur_qhi > node_lo), axis=1)
-        if not intersects.all():
-            q_idx = q_idx[intersects]
-            n_idx = n_idx[intersects]
-            node_lo = node_lo[intersects]
-            node_hi = node_hi[intersects]
-            cur_qlo = cur_qlo[intersects]
-            cur_qhi = cur_qhi[intersects]
-            if not q_idx.size:
-                break
-
-        contained = np.all((node_lo >= cur_qlo) & (node_hi <= cur_qhi), axis=1)
-        has_count = engine.has_count[n_idx]
-        leaf = engine.is_leaf[n_idx]
-
-        full = contained & has_count
-        if full.any():
-            fq = q_idx[full]
-            fn = n_idx[full]
+    for size, fq, fn, pq, pn, fraction in _frontier_levels(engine, qlo, qhi):
+        if track_peak and size > peak:
+            peak = size
+        if fq.size:
             # Upcast gathered counts before accumulating: float32 storage
             # rounds each count once at store time, never during summation.
-            released = engine.released[fn].astype(np.float64, copy=False)
+            released = engine.released.take(fn).astype(np.float64, copy=False)
             estimates += np.bincount(fq, weights=released, minlength=n_queries)
             touched += np.bincount(fq, minlength=n_queries)
             variances += np.bincount(
-                fq, weights=engine.level_variance[engine.level[fn]], minlength=n_queries
+                fq, weights=engine.level_variance[engine.level.take(fn)], minlength=n_queries
             )
-
-        partial = leaf & has_count & ~contained
-        if partial.any():
-            pn = n_idx[partial]
-            node_area = engine.area[pn]
-            overlap = np.prod(
-                np.minimum(node_hi[partial], cur_qhi[partial])
-                - np.maximum(node_lo[partial], cur_qlo[partial]),
-                axis=1,
+        if pq.size:
+            if use_uniformity:
+                released = engine.released.take(pn).astype(np.float64, copy=False)
+                estimates += np.bincount(pq, weights=released * fraction, minlength=n_queries)
+            touched += np.bincount(pq, minlength=n_queries)
+            variances += np.bincount(
+                pq,
+                weights=fraction * fraction * engine.level_variance[engine.level.take(pn)],
+                minlength=n_queries,
             )
-            ok = (node_area > 0) & (overlap > 0)
-            if ok.any():
-                pq = q_idx[partial][ok]
-                pn = pn[ok]
-                fraction = overlap[ok] / node_area[ok]
-                if use_uniformity:
-                    released = engine.released[pn].astype(np.float64, copy=False)
-                    estimates += np.bincount(
-                        pq, weights=released * fraction, minlength=n_queries
-                    )
-                touched += np.bincount(pq, minlength=n_queries)
-                variances += np.bincount(
-                    pq,
-                    weights=fraction * fraction * engine.level_variance[engine.level[pn]],
-                    minlength=n_queries,
-                )
-
-        descend = ~full & ~leaf
-        q_idx, n_idx = _expand_children(
-            q_idx[descend], engine.child_start[n_idx[descend]], engine.child_end[n_idx[descend]]
-        )
 
     if track_peak and peak:
         gauge_max("engine.frontier_peak", peak)
@@ -405,77 +440,18 @@ def _compile_query_matrix(
     engine: FlatPSD, queries: Union[Iterable[QueryInput], np.ndarray]
 ) -> QueryMatrix:
     qlo, qhi = queries_to_arrays(queries, engine.dims)
-    n_queries = qlo.shape[0]
-    q_parts = []
-    n_parts = []
-    w_parts = []
-    p_parts = []
-    if n_queries and engine.n_nodes:
-        q_idx = np.arange(n_queries, dtype=np.int64)
-        n_idx = np.zeros(n_queries, dtype=np.int64)
-        while q_idx.size:
-            node_lo = engine.lo[n_idx]
-            node_hi = engine.hi[n_idx]
-            cur_qlo = qlo[q_idx]
-            cur_qhi = qhi[q_idx]
-
-            intersects = np.all((node_hi > cur_qlo) & (cur_qhi > node_lo), axis=1)
-            if not intersects.all():
-                q_idx = q_idx[intersects]
-                n_idx = n_idx[intersects]
-                node_lo = node_lo[intersects]
-                node_hi = node_hi[intersects]
-                cur_qlo = cur_qlo[intersects]
-                cur_qhi = cur_qhi[intersects]
-                if not q_idx.size:
-                    break
-
-            contained = np.all((node_lo >= cur_qlo) & (node_hi <= cur_qhi), axis=1)
-            has_count = engine.has_count[n_idx]
-            leaf = engine.is_leaf[n_idx]
-
-            full = contained & has_count
-            if full.any():
-                q_parts.append(q_idx[full])
-                n_parts.append(n_idx[full])
-                w_parts.append(np.ones(int(full.sum())))
-                p_parts.append(np.zeros(int(full.sum()), dtype=bool))
-
-            partial = leaf & has_count & ~contained
-            if partial.any():
-                pn = n_idx[partial]
-                node_area = engine.area[pn]
-                overlap = np.prod(
-                    np.minimum(node_hi[partial], cur_qhi[partial])
-                    - np.maximum(node_lo[partial], cur_qlo[partial]),
-                    axis=1,
-                )
-                ok = (node_area > 0) & (overlap > 0)
-                if ok.any():
-                    q_parts.append(q_idx[partial][ok])
-                    n_parts.append(pn[ok])
-                    w_parts.append(overlap[ok] / node_area[ok])
-                    p_parts.append(np.ones(int(ok.sum()), dtype=bool))
-
-            descend = ~full & ~leaf
-            q_idx, n_idx = _expand_children(
-                q_idx[descend], engine.child_start[n_idx[descend]],
-                engine.child_end[n_idx[descend]]
-            )
-
-    if q_parts:
-        q_all = np.concatenate(q_parts)
-        order = np.argsort(q_all, kind="stable")
-        q_all = q_all[order]
-        indices = np.concatenate(n_parts)[order]
-        weights = np.concatenate(w_parts)[order]
-        partial = np.concatenate(p_parts)[order]
-    else:
-        q_all = np.empty(0, dtype=np.int64)
-        indices = np.empty(0, dtype=np.int64)
-        weights = np.empty(0)
-        partial = np.empty(0, dtype=bool)
-    counts_per_query = np.bincount(q_all, minlength=n_queries)
-    indptr = np.concatenate(([0], np.cumsum(counts_per_query)))
-    return QueryMatrix(indptr=indptr, indices=indices, weights=weights,
-                       partial=partial, n_nodes=engine.n_nodes)
+    q_parts = [np.empty(0, dtype=np.int64)]
+    n_parts = [np.empty(0, dtype=np.int64)]
+    w_parts = [np.empty(0)]
+    p_parts = [np.empty(0, dtype=bool)]
+    for _, fq, fn, pq, pn, fraction in _frontier_levels(engine, qlo, qhi):
+        q_parts += [fq, pq]
+        n_parts += [fn, pn]
+        w_parts += [np.ones(fq.size), fraction]
+        p_parts += [np.zeros(fq.size, dtype=bool), np.ones(pq.size, dtype=bool)]
+    q_all = np.concatenate(q_parts)
+    order = np.argsort(q_all, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(q_all, minlength=qlo.shape[0]))))
+    return QueryMatrix(indptr=indptr, indices=np.concatenate(n_parts)[order],
+                       weights=np.concatenate(w_parts)[order],
+                       partial=np.concatenate(p_parts)[order], n_nodes=engine.n_nodes)

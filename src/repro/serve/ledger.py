@@ -29,7 +29,8 @@ append-only JSON-lines **write-ahead log**:
 
 The WAL is human-auditable: one JSON object per line, ``kind`` of ``"cap"``
 (sets an analyst's cap) or ``"charge"`` (spends ε), each stamped with a
-monotonically increasing ``seq``.
+monotonically increasing ``seq`` and naming its ``analyst``.  Both fields are
+mandatory: replay raises :class:`LedgerError` on a record missing either.
 """
 
 from __future__ import annotations
@@ -159,13 +160,18 @@ class BudgetLedger:
         rebuilt totals are bit-for-bit the pre-crash ones.
         """
         kind = record.get("kind")
-        seq = int(record.get("seq", self._seq + 1))
+        for name in ("seq", "analyst"):
+            if record.get(name) is None:
+                raise LedgerError(
+                    f"ledger {self.path}: record after seq {self._seq} has no {name!r}"
+                )
+        seq = int(record["seq"])
         if seq != self._seq + 1:
             raise LedgerError(
                 f"ledger {self.path}: sequence gap (expected {self._seq + 1}, "
                 f"found {seq}) — records missing or reordered"
             )
-        analyst = str(record.get("analyst"))
+        analyst = str(record["analyst"])
         if kind == "cap":
             cap = float.fromhex(str(record["cap_hex"]))
             account = self._accounts.get(analyst)

@@ -127,6 +127,28 @@ def test_sequence_gap_raises(tmp_path: Path) -> None:
         BudgetLedger(wal, default_cap=1.0)
 
 
+@pytest.mark.parametrize("field", ["seq", "analyst"])
+def test_record_missing_a_mandatory_field_raises(tmp_path: Path, field: str) -> None:
+    wal = tmp_path / "wal.jsonl"
+    ledger = BudgetLedger(wal, default_cap=1.0)
+    for epsilon in (0.1, 0.07, 0.013):
+        ledger.charge("alice", epsilon)
+    ledger.close()
+    intact = wal.read_bytes()
+    # The well-formed WAL replays bitwise before the damage ...
+    with BudgetLedger(wal, default_cap=1.0) as replayed:
+        assert replayed.spend_hex("alice") == (0.1 + 0.07 + 0.013).hex()
+    assert wal.read_bytes() == intact
+    # ... and one record without the field refuses to open, naming the file,
+    # instead of being taken as the next seq or an account named "None".
+    lines = intact.splitlines(keepends=True)
+    record = json.loads(lines[1])
+    del record[field]
+    wal.write_bytes(lines[0] + (json.dumps(record) + "\n").encode() + lines[2])
+    with pytest.raises(LedgerError, match=f"{wal}.*no '{field}'"):
+        BudgetLedger(wal, default_cap=1.0)
+
+
 def test_set_cap_is_durable(tmp_path: Path) -> None:
     wal = tmp_path / "wal.jsonl"
     ledger = BudgetLedger(wal, default_cap=0.1)
