@@ -7,8 +7,8 @@ breadth-first structure-of-arrays form — one level at a time:
 
 * structure: every level's children are produced in one pass through
   :meth:`~repro.core.splits.SplitRule.split_level`.  Data-independent rules
-  (quadtree) partition *all* points of the level with array comparisons and a
-  stable argsort; data-dependent rules (kd, hybrid, the Hilbert binary split)
+  (quadtree) partition *all* points of the level with array comparisons and
+  never reorder them; data-dependent rules (kd, hybrid, the Hilbert binary split)
   call the **ragged-batch private medians** of :mod:`repro.privacy.median`
   once per stage, whose node-major draw layout consumes the RNG stream in
   exactly the same order as the pointer reference builder; the cell-based kd
@@ -45,7 +45,7 @@ from ..geometry.rect import Rect
 from ..obs import counter_add, trace_span
 from ..privacy.mechanisms import laplace_noise
 from ..privacy.rng import RngLike, ensure_rng
-from .splits import SplitRule
+from .splits import SplitRule, stable_order
 
 __all__ = [
     "FlatTree",
@@ -183,7 +183,9 @@ def build_flat_structure(
 
     cur_lo = np.asarray(domain.rect.lo, dtype=float).reshape(1, dims)
     cur_hi = np.asarray(domain.rect.hi, dtype=float).reshape(1, dims)
-    cur_pts = pts  # always sorted so each node's points are contiguous
+    # ``cur_node[p]`` is the node of ``cur_pts[p]``; the points are grouped by
+    # node only when a level needs it (see ``_regroup``).
+    cur_pts = pts
     cur_node = np.zeros(pts.shape[0], dtype=np.int64)
     cur_seg = np.array([0, pts.shape[0]], dtype=np.int64)
 
@@ -192,7 +194,10 @@ def build_flat_structure(
     level_counts: List[np.ndarray] = [np.array([pts.shape[0]], dtype=np.int64)]
 
     for level in range(height, 0, -1):
-        eps_med = eps_median_per_level if split_rule.is_data_dependent(level, height) else 0.0
+        data_dependent = split_rule.is_data_dependent(level, height)
+        eps_med = eps_median_per_level if data_dependent else 0.0
+        if data_dependent:
+            cur_pts, cur_node = _regroup(cur_pts, cur_node)
         with trace_span("build.split_level", level=level, nodes=int(cur_lo.shape[0])):
             batched = split_rule.split_level(
                 cur_lo, cur_hi, cur_pts, cur_node, level, height, domain, eps_med, rng=gen
@@ -200,13 +205,11 @@ def build_flat_structure(
         if batched is not None:
             # ``level_pts`` is normally the level's own points; a point the
             # reference routes to two children (domain-edge split) appears
-            # twice, which the bincount/argsort handle transparently.
-            child_lo, child_hi, child_of_pt, level_pts = batched
-            order = np.argsort(child_of_pt, kind="stable")
-            cur_pts = level_pts[order]
-            cur_node = child_of_pt[order]
-            counts = np.bincount(child_of_pt, minlength=child_lo.shape[0]).astype(np.int64)
+            # twice, which the bincount and the regroup handle transparently.
+            child_lo, child_hi, cur_node, cur_pts = batched
+            counts = np.bincount(cur_node, minlength=child_lo.shape[0]).astype(np.int64)
         else:
+            cur_pts, cur_node = _regroup(cur_pts, cur_node)
             child_lo, child_hi, cur_pts, counts = _split_level_per_node(
                 split_rule, cur_lo, cur_hi, cur_pts, cur_seg, level, height, domain, eps_med, gen
             )
@@ -241,6 +244,22 @@ def build_flat_structure(
         height=height,
         fanout=fanout,
     )
+
+
+def _regroup(pts: np.ndarray, node: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pts, node)`` reordered so each node's points are contiguous.
+
+    Data-dependent levels and the per-node fallback need every node's points
+    as one slice; data-independent levels route points in any order, so the
+    builders call this lazily, right before a level that needs it.  The sort
+    is stable, keeping each node's points in their current relative order,
+    and input that is already grouped (non-decreasing ``node``, as the kd and
+    Hilbert rules hand their levels back) is returned as is.
+    """
+    if node.shape[0] < 2 or not np.any(node[1:] < node[:-1]):
+        return pts, node
+    order = stable_order(node)
+    return pts.take(order, axis=0), node.take(order)
 
 
 def _split_level_per_node(
@@ -640,7 +659,7 @@ def build_flat_structures_stacked(
                         n_releases, axis=0)
     cur_lo, cur_hi = root_lo, root_hi
     cur_pts = np.tile(pts, (n_releases, 1))
-    cur_node = np.repeat(np.arange(n_releases, dtype=np.int64), n0)
+    cur_node = np.repeat(np.arange(n_releases, dtype=np.int64), n0)  # grouped lazily
 
     level_lo: List[np.ndarray] = [root_lo]
     level_hi: List[np.ndarray] = [root_hi]
@@ -650,6 +669,7 @@ def build_flat_structures_stacked(
         k = cur_lo.shape[0] // n_releases  # nodes per release at this level
         if split_rule.is_data_dependent(level, height):
             eps_level = np.repeat(eps_med, k)  # release-major, one per stacked node
+            cur_pts, cur_node = _regroup(cur_pts, cur_node)
         else:
             eps_level = 0.0
         with trace_span("build.split_level_stacked", level=level,
@@ -662,16 +682,13 @@ def build_flat_structures_stacked(
                 f"split rule {split_rule!r} lost its vectorized path at level {level} "
                 "mid-sweep; the pre-drawn uniforms cannot be replayed per node"
             )
-        child_lo, child_hi, child_of_pt, level_pts = batched
+        child_lo, child_hi, cur_node, cur_pts = batched
         if child_lo.shape[0] != cur_lo.shape[0] * fanout:
             raise RuntimeError(
                 f"split rule {split_rule!r} produced {child_lo.shape[0]} children "
                 f"for {cur_lo.shape[0]} nodes, expected fanout {fanout}"
             )
-        order = np.argsort(child_of_pt, kind="stable")
-        cur_pts = level_pts[order]
-        cur_node = child_of_pt[order]
-        counts = np.bincount(child_of_pt, minlength=child_lo.shape[0]).astype(np.int64)
+        counts = np.bincount(cur_node, minlength=child_lo.shape[0]).astype(np.int64)
         cur_lo, cur_hi = child_lo, child_hi
         level_lo.append(child_lo)
         level_hi.append(child_hi)

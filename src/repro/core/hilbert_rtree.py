@@ -92,7 +92,7 @@ class BinaryMedianSplit(SplitRule):
         (a single stage here), so the flat build consumes the RNG exactly as
         the per-node reference does.
         """
-        from .splits import _level_epsilons
+        from .splits import _level_epsilons, _segment_sorted_order
 
         method = resolve_median_method(self.median_method)
         batch = getattr(method, "batch", None)
@@ -124,10 +124,8 @@ class BinaryMedianSplit(SplitRule):
         vals = pts[:, 0] if n_pts else np.empty(0)
         # This rule hands each level back sorted by (child, value), so after
         # the first level the sort degenerates to an O(n) check.
-        from .splits import _segment_sorted_order
-
         order = _segment_sorted_order(vals, seg, offs)
-        sorted_vals = vals if order is None else vals[order]
+        sorted_vals = vals if order is None else vals.take(order)
         lo0, hi0 = lo[:, 0], hi[:, 0]
 
         if not method_is_private:
@@ -153,10 +151,12 @@ class BinaryMedianSplit(SplitRule):
 
         duplicated = False
         if n_pts:
-            at_split = pts[:, 0] == split[seg]
-            dup = np.isclose(split, dom_hi)[seg] & at_split
-            side = (pts[:, 0] >= split[seg]).astype(np.int64)
-            if np.any(dup):
+            values = pts[:, 0]
+            cut = split.take(seg)
+            side = (values >= cut).astype(np.int64)
+            closed = np.isclose(split, dom_hi)
+            dup = closed.take(seg) & (values == cut) if np.any(closed) else None
+            if dup is not None and np.any(dup):
                 duplicated = True
                 side[dup] = 0
                 pts = np.concatenate([pts, pts[dup]], axis=0)
@@ -171,11 +171,12 @@ class BinaryMedianSplit(SplitRule):
         child_hi[:, 0, 0] = split
         child_lo[:, 1, 0] = split
         child_of_point = seg * 2 + side
-        if n_pts and not duplicated:
-            base_order = np.arange(n_pts, dtype=np.int64) if order is None else order
-            ret = base_order[np.argsort(child_of_point[base_order], kind="stable")]
-            child_of_point = child_of_point[ret]
-            pts = pts[ret]
+        if order is not None and not duplicated:
+            # Within a node sorted by value the side is monotone, so in value
+            # order the level comes back grouped by child and sorted by value
+            # within each child: the next level skips both sorts.
+            child_of_point = child_of_point.take(order)
+            pts = pts.take(order, axis=0)
         return (child_lo.reshape(2 * k, 1), child_hi.reshape(2 * k, 1),
                 child_of_point, pts)
 

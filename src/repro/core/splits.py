@@ -55,6 +55,7 @@ __all__ = [
     "CellKDSplit",
     "grid_median_along_axis",
     "grid_medians",
+    "stable_order",
 ]
 
 #: One child produced by a split: its rectangle, the points routed to it, and
@@ -69,6 +70,30 @@ SplitResult = Tuple[Rect, np.ndarray]
 #: the domain's closed upper face) appears twice — and ``child_of_point[p]``
 #: is the global child index ``points[p]`` routes to.
 LevelSplit = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys, computed fast.
+
+    NumPy sorts integer dtypes of at most 16 bits with a stable radix sort
+    and wider ones with timsort, which is several times slower on the small
+    key ranges the builders sort by (node, half or child indices).  The keys
+    are shifted to start at zero and cast to the narrowest unsigned dtype
+    that holds their range; ranges wider than 16 bits sort as ``int64``.
+    The permutation is the same either way.
+    """
+    keys = np.asarray(keys)
+    n = keys.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    low = int(keys.min())
+    span = int(keys.max()) - low
+    if span == 0:
+        return np.arange(n, dtype=np.intp)
+    if span <= 0xFFFF:
+        narrow = np.uint8 if span <= 0xFF else np.uint16
+        return np.argsort((keys - low).astype(narrow), kind="stable")
+    return np.argsort(keys.astype(np.int64, copy=False), kind="stable")
 
 
 def _segment_sorted_order(values: np.ndarray, seg: np.ndarray,
@@ -93,7 +118,7 @@ def _segment_sorted_order(values: np.ndarray, seg: np.ndarray,
     elif n <= 1:
         return None
     by_value = np.argsort(values)  # stability irrelevant: equal floats are identical
-    return by_value[np.argsort(seg[by_value], kind="stable")]
+    return by_value.take(stable_order(seg.take(by_value)))
 
 
 def _level_epsilons(epsilon_median, k: int) -> Optional[Tuple[np.ndarray, bool]]:
@@ -165,10 +190,11 @@ def _kd_route_stage(pts: np.ndarray, seg: np.ndarray, sides: List[np.ndarray], a
     ``(pts, seg, sides, duplicated)``.
     """
     values = pts[:, axis]
-    cut = cuts[key]
+    cut = cuts.take(key)
     side = (values >= cut).astype(np.int64)
-    dup = np.isclose(cuts, dom_hi)[key] & (values == cut)
-    if not np.any(dup):
+    closed = np.isclose(cuts, dom_hi)
+    dup = closed.take(key) & (values == cut) if np.any(closed) else None
+    if dup is None or not np.any(dup):
         return pts, seg, sides + [side], False
     side[dup] = 0
     copies = np.ones(int(np.count_nonzero(dup)), dtype=np.int64)
@@ -285,12 +311,16 @@ class SplitRule(ABC):
         """Split **every** node of a level in one vectorized call, if possible.
 
         ``lo`` / ``hi`` are the ``(n_nodes, d)`` bounds of the level's nodes,
-        ``points`` the concatenated points of the level (sorted so each node's
-        points are contiguous) and ``point_node[p]`` the node index of point
-        ``p``.  Implementations return a :data:`LevelSplit`, or ``None`` when
-        no vectorized path applies — the flat builder then falls back to
-        per-node :meth:`split` calls in BFS order, so the privacy semantics
-        and RNG consumption are identical either way.
+        ``points`` the concatenated points of the level and ``point_node[p]``
+        the node index of point ``p``.  On data-dependent levels the points
+        are grouped so each node's points are contiguous; on data-independent
+        levels they may come in any order, so a rule that needs grouped
+        points there must group them itself.  The returned points need not be
+        grouped by child either.  Implementations return a
+        :data:`LevelSplit`, or ``None`` when no vectorized path applies — the
+        flat builder then falls back to per-node :meth:`split` calls in BFS
+        order, so the privacy semantics and RNG consumption are identical
+        either way.
         """
         return None
 
@@ -352,9 +382,9 @@ class QuadSplit(SplitRule):
                 idx = np.arange(points.shape[0], dtype=np.int64)
                 code = np.zeros(points.shape[0], dtype=np.int64)
                 for axis in range(dims):
-                    node_of = point_node[idx]
-                    x = points[idx, axis]
-                    mid_ax = mid[node_of, axis]
+                    node_of = point_node.take(idx)
+                    x = points[:, axis].take(idx)
+                    mid_ax = mid[:, axis].take(node_of)
                     high_bit = (x >= mid_ax).astype(np.int64) << axis
                     dup = closed[node_of, axis] & (x == mid_ax)
                     if np.any(dup):
@@ -366,10 +396,10 @@ class QuadSplit(SplitRule):
                         code = np.concatenate([code_low, code[dup] | (1 << axis)])
                     else:
                         code = code | high_bit
-                child_of_point = point_node[idx] * n_child + code
-                out_points = points[idx]
+                child_of_point = point_node.take(idx) * n_child + code
+                out_points = points.take(idx, axis=0)
             else:
-                high = points >= mid[point_node]
+                high = points >= mid.take(point_node, axis=0)
                 code = np.zeros(points.shape[0], dtype=np.int64)
                 for axis in range(dims):
                     code |= high[:, axis].astype(np.int64) << axis
@@ -539,7 +569,7 @@ class KDSplit(SplitRule):
                 em_u = u_level[(node_base[:-1] + counts_node)[:, None]
                                + np.arange(d)[None, :]]
                 uni_a = (mask_u, em_u)
-        sorted_a = vals_a if order_a is None else vals_a[order_a]
+        sorted_a = vals_a if order_a is None else vals_a.take(order_a)
         split_a = run_batch(sorted_a, offs_a, lo_a, hi_a, uni_a, eps_stage)
 
         # ---- stage B: one private median per half along axis_b (low, then high)
@@ -551,7 +581,7 @@ class KDSplit(SplitRule):
             vals_b = pts_b[:, axis_b] if n_b else np.empty(0)
             if n_b:
                 order_b = np.argsort(vals_b)  # equal floats are identical: no stability needed
-                order_b = order_b[np.argsort(half[order_b], kind="stable")]
+                order_b = order_b.take(stable_order(half.take(order_b)))
             else:
                 order_b = np.empty(0, dtype=np.int64)
             counts_b = (np.bincount(half, minlength=2 * k).astype(np.int64)
@@ -570,7 +600,7 @@ class KDSplit(SplitRule):
                     mask_u = u_level[b_start[seg_sorted] + rank]
                     em_u = u_level[(b_start + counts_b)[:, None] + np.arange(d)[None, :]]
                     uni_b = (mask_u, em_u)
-            return run_batch(vals_b[order_b], offs_b, lo_b, hi_b, uni_b,
+            return run_batch(vals_b.take(order_b), offs_b, lo_b, hi_b, uni_b,
                              np.repeat(eps_stage, 2))
 
         child_lo, child_hi, child_of_point, pts, duplicated = _route_kd_level(
@@ -579,10 +609,12 @@ class KDSplit(SplitRule):
             # Hand the level back sorted by (child, axis_a): refining the
             # stage-A order by child is a cheap stable integer sort, and it
             # lets the next level's stage A skip its value sort entirely.
-            base = np.arange(n_pts, dtype=np.int64) if order_a is None else order_a
-            ret = base[np.argsort(child_of_point[base], kind="stable")]
-            child_of_point = child_of_point[ret]
-            pts = pts[ret]
+            if order_a is None:
+                ret = stable_order(child_of_point)
+            else:
+                ret = order_a.take(stable_order(child_of_point.take(order_a)))
+            child_of_point = child_of_point.take(ret)
+            pts = pts.take(ret, axis=0)
         return child_lo, child_hi, child_of_point, pts
 
 

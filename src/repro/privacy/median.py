@@ -62,6 +62,20 @@ Each scalar method carries its draw layout as attributes: ``method.batch``
 (the batch form), ``method.draws_per_call`` and ``method.draws_per_value``.
 Batched mechanisms written by third parties must honor the same node-major
 draw order to stay interchangeable with the per-node reference builder.
+
+The EM kernel
+-------------
+:func:`exponential_mechanism_median_batch` is the hot loop of every
+data-dependent build (one call per level and stage, over all of the level's
+points), so it keeps its full-size passes few: the interval bounds come from
+one ``np.insert`` of the domain ends into the values each, the log-weights
+are built in place in one buffer that becomes the weights, and per-segment
+scalars are spread with ``repeat``.  The rank distance ``|t - n/2|`` is a
+half-integer, exact in floating point however it is formed, so the in-place
+arithmetic rounds exactly as a direct transcription of Definition 5 would.
+The per-segment cumulative sum takes one contiguous ``np.cumsum`` for each
+long segment and zero-padded bucket rows for the short ones; both accumulate
+left to right, so every output is bitwise what a per-segment loop returns.
 """
 
 from __future__ import annotations
@@ -201,19 +215,31 @@ def _segment_reduce(ufunc, flat: np.ndarray, offsets: np.ndarray, empty):
     return out
 
 
+#: Segments at least this long take a contiguous ``np.cumsum`` of their own
+#: slice; shorter ones share the zero-padded bucket rows below.  Both forms
+#: accumulate strictly left to right, so the cut never changes a bit.
+_CUMSUM_SLICE_MIN = 4096
+
+
 def _segment_cumsum(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment cumulative sum, bitwise equal to ``np.cumsum`` per segment.
 
-    Segments are scattered into zero-padded rows (bucketed by power-of-two
-    length so the padding stays linear in the input) and accumulated with one
-    row-wise ``cumsum``, whose left-to-right order matches the 1-D form
-    exactly.
+    A segment of at least :data:`_CUMSUM_SLICE_MIN` values is accumulated in
+    place on its contiguous slice (one call per long segment, no padding).
+    Shorter segments are scattered into zero-padded rows (bucketed by
+    power-of-two length so the padding stays linear in the input) and
+    accumulated with one row-wise ``cumsum``, whose left-to-right order
+    matches the 1-D form exactly.
     """
     flat = np.asarray(flat, dtype=float)
     out = np.empty(flat.size)
     counts = np.diff(offsets)
     starts = offsets[:-1]
-    nz = np.flatnonzero(counts)
+    long = np.flatnonzero(counts >= _CUMSUM_SLICE_MIN)
+    for i in long.tolist():
+        a, b = int(starts[i]), int(offsets[i + 1])
+        np.cumsum(flat[a:b], out=out[a:b])
+    nz = np.flatnonzero((counts > 0) & (counts < _CUMSUM_SLICE_MIN))
     if nz.size == 0:
         return out
     sizes = counts[nz]
@@ -275,6 +301,11 @@ def exponential_mechanism_median_batch(
     the inter-value interval (by inverting the normalized weight CDF, the
     same inversion ``Generator.choice`` performs), the second places the
     output uniformly inside it.
+
+    The sweep makes a handful of full-size passes: interval bounds come from
+    one ``np.insert`` each, the log-weights are built in one buffer that then
+    becomes the weights, and per-segment scalars are spread with ``repeat``
+    rather than gathered through an interval-to-segment index.
     """
     vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
                                                         validate=validate)
@@ -283,37 +314,46 @@ def exponential_mechanism_median_batch(
     safe, guard = _safe_values(vals)
 
     # Segment i contributes n_i + 1 intervals I_0..I_n delimited by
-    # lo, x_1, ..., x_n, hi; a value in I_t has rank t.
+    # lo, x_1, ..., x_n, hi; a value in I_t has rank t.  The left bounds are
+    # the values with each segment's lo inserted at its start, the right
+    # bounds the values with its hi inserted at its end.
     iv_counts = counts + 1
     iv_off = offs + np.arange(k + 1, dtype=np.int64)
     total = int(iv_off[-1])
-    iv_seg = np.repeat(np.arange(k, dtype=np.int64), iv_counts)
-    t = np.arange(total, dtype=np.int64) - iv_off[:-1][iv_seg]
+    left = np.insert(vals, offs[:-1], lo)
+    lengths = np.insert(vals, offs[1:], hi)
+    lengths -= left
 
-    left = np.where(t == 0, lo[iv_seg],
-                    safe[np.minimum(np.maximum(offs[:-1][iv_seg] + t - 1, 0), guard)])
-    right = np.where(t == counts[iv_seg], hi[iv_seg],
-                     safe[np.minimum(offs[:-1][iv_seg] + t, guard)])
-    lengths = right - left
-
-    log_weights = -(eps[iv_seg] / 2.0) * np.abs(t - counts[iv_seg] / 2.0)
+    # log w_t = -(eps/2) * |t - n/2| + log(length_t), and -inf for empty
+    # intervals.  With t = p - iv_off[s] for interval p, the half-integer
+    # |t - n/2| equals |p - (iv_off[s] + n/2)| exactly in floating point.
+    log_w = np.full(total, -np.inf)
     positive = lengths > 0
-    log_w = np.where(positive, log_weights + np.log(np.where(positive, lengths, 1.0)), -np.inf)
+    np.log(lengths, out=log_w, where=positive)
+    del positive
+    rank_dist = np.arange(total, dtype=float)
+    rank_dist -= np.repeat(iv_off[:-1] + counts / 2.0, iv_counts)
+    np.abs(rank_dist, out=rank_dist)
+    rank_dist *= np.repeat(-(eps / 2.0), iv_counts)
+    log_w += rank_dist
+    del rank_dist
+
     seg_max = _segment_reduce(np.maximum, log_w, iv_off, -np.inf)
     degenerate = ~np.isfinite(seg_max)  # zero-width domain: only one possible output
-    safe_max = np.where(degenerate, 0.0, seg_max)
-    shifted = np.where(degenerate[iv_seg], 0.0, log_w - safe_max[iv_seg])
-    weights = np.exp(shifted)
+    log_w -= np.repeat(np.where(degenerate, 0.0, seg_max), iv_counts)
+    if np.any(degenerate):
+        log_w[np.repeat(degenerate, iv_counts)] = 0.0
+    weights = np.exp(log_w, out=log_w)
 
     cdf = _segment_cumsum(weights, iv_off)
-    cdf_last = cdf[iv_off[1:] - 1]
-    norm = cdf / cdf_last[iv_seg]
-    below = (norm <= u[:, 0][iv_seg]).astype(np.int64)
-    chosen = np.minimum(_segment_reduce(np.add, below, iv_off, 0), counts)
+    del weights, log_w
+    cdf /= np.repeat(cdf[iv_off[1:] - 1], iv_counts)
+    below = cdf <= np.repeat(u[:, 0], iv_counts)
+    del cdf
+    chosen = np.minimum(np.add.reduceat(below, iv_off[:-1], dtype=np.int64), counts)
 
     pos = iv_off[:-1] + chosen
-    l_sel, r_sel = left[pos], right[pos]
-    width = r_sel - l_sel
+    l_sel, width = left[pos], lengths[pos]
     res = np.where(width > 0, l_sel + width * u[:, 1], l_sel)
     mid = np.where(counts > 0, safe[np.minimum(offs[:-1] + counts // 2, guard)], lo)
     res = np.where(degenerate, mid, res)

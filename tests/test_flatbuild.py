@@ -11,6 +11,8 @@ property suite (vectorized == recursive == brute force).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,16 @@ from repro.core.flatbuild import FlatTree, flatten_tree, ols_beta
 from repro.core.hilbert_rtree import BinaryMedianSplit, build_private_hilbert_rtree
 from repro.core.kdtree import build_private_kdtree
 from repro.core.postprocess import apply_ols, check_consistency, ols_estimate_tree
-from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit, grid_medians
+from repro.core.splits import (
+    CellKDSplit,
+    HybridSplit,
+    KDSplit,
+    QuadSplit,
+    SplitRule,
+    _partition,
+    grid_medians,
+    stable_order,
+)
 from repro.data import uniform_points
 from repro.engine.flat import COMPILED_ENGINE_KEY, compile_psd
 from repro.geometry import Domain, Rect
@@ -395,3 +406,140 @@ class TestFlatTreeInternals:
         assert np.array_equal(tree_after.post_count, snapshot["post"])
         assert np.array_equal(tree_after.true_count, snapshot["true"])
         assert isinstance(tree_after, FlatTree)
+
+
+# ----------------------------------------------------------------------
+# Lazy regrouping and the narrow-key stable order
+# ----------------------------------------------------------------------
+#: A domain far from the origin: ``np.isclose(mid, domain_hi)`` holds for
+#: every node midpoint, so a point exactly on a midpoint is routed to both
+#: children (the domain-edge semantics) and duplicated in the flat build.
+FAR_DOMAIN = Domain(Rect((1e6, 1e6), (1e6 + 1.0, 1e6 + 1.0)))
+
+
+def far_points(n_random: int = 600, seed: int = 3) -> np.ndarray:
+    """Random points plus points exactly on the first levels' midpoint faces."""
+    gen = np.random.default_rng(seed)
+    random = 1e6 + gen.random((n_random, 2))
+    ticks = 1e6 + np.arange(1, 16) / 16.0  # midpoints of the top four quad levels
+    on_x = np.column_stack([ticks, 1e6 + gen.random(ticks.size)])
+    on_y = np.column_stack([1e6 + gen.random(ticks.size), ticks[::-1]])
+    corners = np.array([[1e6 + 0.5, 1e6 + 0.5], [1e6 + 0.25, 1e6 + 0.75]])
+    return np.concatenate([random, on_x, on_y, corners])
+
+
+@dataclass(frozen=True)
+class QuadThenThirds(SplitRule):
+    """Quadtree levels above ``switch``, then a data-independent split at one
+    third of each axis that has no vectorized path.
+
+    The quad levels leave the points in routing order, so the flat builder
+    must regroup them by node before its per-node fallback can slice them.
+    """
+
+    switch: int = 2
+    name: str = "quad-then-thirds"
+
+    def is_data_dependent(self, level, height):
+        return False
+
+    def split(self, rect, points, level, height, domain, epsilon_median, rng=None):
+        if level > self.switch:
+            return QuadSplit().split(rect, points, level, height, domain, 0.0)
+        low, high = rect.split_at(0, rect.lo[0] + (rect.hi[0] - rect.lo[0]) / 3.0)
+        children = []
+        for half_rect, half_points in _partition([low, high], points, domain):
+            cut = half_rect.lo[1] + (half_rect.hi[1] - half_rect.lo[1]) / 3.0
+            children.extend(_partition(list(half_rect.split_at(1, cut)), half_points, domain))
+        return children
+
+    def split_level(self, lo, hi, points, point_node, level, height, domain,
+                    epsilon_median, rng=None):
+        if level > self.switch:
+            return QuadSplit().split_level(lo, hi, points, point_node, level, height,
+                                           domain, 0.0)
+        return None
+
+
+def spy_regroups(monkeypatch):
+    """Record, for every regroup call, whether its input was out of node order."""
+    import repro.core.flatbuild as flatbuild
+
+    calls = []
+    original = flatbuild._regroup
+
+    def spy(pts, node):
+        calls.append(bool(np.any(np.diff(node) < 0)))
+        return original(pts, node)
+
+    monkeypatch.setattr(flatbuild, "_regroup", spy)
+    return calls
+
+
+def build_on(points, domain, rule, height, seed=5):
+    kwargs = dict(epsilon=1.0, rng=seed, postprocess=True)
+    pointer = build_psd(points, domain, height, rule, layout="pointer", **kwargs)
+    flat = build_psd(points, domain, height, rule, layout="flat", **kwargs)
+    return pointer, flat
+
+
+class TestRegroupParity:
+    @pytest.mark.parametrize("domain,points", [(DOMAIN, POINTS), (FAR_DOMAIN, far_points())],
+                             ids=["unit", "closed-faces"])
+    def test_hybrid_kd_levels_then_quad_levels(self, monkeypatch, domain, points):
+        forbid_per_node_splits(monkeypatch)
+        calls = spy_regroups(monkeypatch)
+        pointer, flat = build_on(points, domain, HybridSplit(kd_levels=2), 5)
+        assert_same_tree(pointer, flat)
+        # Only the two kd levels ask for grouped points; the quad levels
+        # below them never regroup.
+        assert len(calls) == 2
+
+    def test_quad_points_on_closed_midpoint_faces(self, monkeypatch):
+        forbid_per_node_splits(monkeypatch)
+        calls = spy_regroups(monkeypatch)
+        points = far_points()
+        pointer, flat = build_on(points, FAR_DOMAIN, QuadSplit(), 4)
+        assert_same_tree(pointer, flat)
+        tree = flat.flat_tree
+        assert tree.true_count[tree.level == 0].sum() > points.shape[0]  # duplication ran
+        assert calls == []  # quad levels route points in any order
+
+    @pytest.mark.parametrize("domain,points", [(DOMAIN, POINTS), (FAR_DOMAIN, far_points())],
+                             ids=["unit", "closed-faces"])
+    def test_rule_without_split_level_after_quad_levels(self, monkeypatch, domain, points):
+        import repro.core.flatbuild as flatbuild
+
+        calls = spy_regroups(monkeypatch)
+        fallbacks = []
+        original = flatbuild._split_level_per_node
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flatbuild, "_split_level_per_node", counted)
+        pointer, flat = build_on(points, domain, QuadThenThirds(switch=2), 4)
+        assert_same_tree(pointer, flat)
+        assert len(fallbacks) == 2  # levels 2 and 1 split per node
+        assert calls and calls[0], "the first fallback must regroup unsorted points"
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize("span", [1, 0xFE, 0xFF, 0x100, 0xFFFE, 0xFFFF, 0x10000, 0x10001])
+    @pytest.mark.parametrize("low", [0, -70_000, 123_456_789])
+    def test_equals_numpy_stable_argsort(self, span, low):
+        gen = np.random.default_rng(span)
+        keys = low + gen.integers(0, span + 1, 5000)
+        keys[:2] = [low, low + span]  # the range exactly
+        assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16, np.intp])
+    def test_dtypes_and_ties(self, dtype):
+        keys = np.repeat(np.arange(40, dtype=dtype)[::-1], 7)
+        assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
+
+    def test_degenerate_inputs(self):
+        assert stable_order(np.empty(0, dtype=np.int64)).shape == (0,)
+        assert np.array_equal(stable_order(np.full(9, 4)), np.arange(9))
+        assert np.array_equal(stable_order(np.array([3])), np.array([0]))

@@ -83,6 +83,134 @@ class TestEncodeDecode:
         assert np.all(np.abs(decoded - pts) <= cell)
 
 
+def _oracle_encode_cells(order: int, gx, gy) -> np.ndarray:
+    """The per-bit rotate-and-reflect encoding the table-driven one replaced."""
+    x = np.asarray(gx, dtype=np.int64).copy()
+    y = np.asarray(gy, dtype=np.int64).copy()
+    d = np.zeros_like(x)
+    s = (1 << order) >> 1
+    while s > 0:
+        rx = ((x & s) > 0).astype(np.int64)
+        ry = ((y & s) > 0).astype(np.int64)
+        d += s * s * ((3 * rx) ^ ry)
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        x = np.where(flip, s - 1 - x, x)
+        y = np.where(flip, s - 1 - y, y)
+        x, y = np.where(swap, y, x), np.where(swap, x, y)
+        s >>= 1
+    return d
+
+
+class TestTableEncodeOracle:
+    """The table-driven encoder equals the frozen bit loop for every order."""
+
+    @pytest.mark.parametrize("order", range(1, 32))
+    def test_equals_bit_loop(self, order):
+        curve = HilbertCurve(order=order, domain=Rect.unit(2))
+        gen = np.random.default_rng(order)
+        top = curve.side - 1
+        last_x, last_y = curve.decode_cells(np.array([curve.max_index]))
+        gx = np.concatenate([gen.integers(0, curve.side, 2000), [0, 0, top, top], last_x])
+        gy = np.concatenate([gen.integers(0, curve.side, 2000), [0, top, 0, top], last_y])
+        d = curve.encode_cells(gx, gy)
+        assert d.dtype == np.int64
+        assert np.array_equal(d, _oracle_encode_cells(order, gx, gy))
+        assert d[-1] == curve.max_index
+        assert np.all((d >= 0) & (d <= curve.max_index))
+        rx, ry = curve.decode_cells(d)
+        assert np.array_equal(rx, gx) and np.array_equal(ry, gy)
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 5])
+    def test_every_cell_of_small_orders(self, order):
+        curve = HilbertCurve(order=order, domain=Rect.unit(2))
+        gx, gy = np.meshgrid(np.arange(curve.side), np.arange(curve.side), indexing="ij")
+        assert np.array_equal(curve.encode_cells(gx, gy), _oracle_encode_cells(order, gx, gy))
+
+    def test_scalar_and_empty_inputs(self):
+        curve = HilbertCurve(order=9, domain=Rect.unit(2))
+        assert int(curve.encode_cells(300, 17)) == int(_oracle_encode_cells(9, 300, 17))
+        assert curve.encode_cells(np.empty(0), np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("order", [1, 18, 31])
+    def test_out_of_range_cells_still_raise(self, order):
+        curve = HilbertCurve(order=order, domain=Rect.unit(2))
+        for gx, gy in ((-1, 0), (0, -1), (curve.side, 0), (0, curve.side)):
+            with pytest.raises(ValueError):
+                curve.encode_cells(np.array([0, gx]), np.array([0, gy]))
+
+
+def _oracle_range_bboxes(curve: HilbertCurve, lo_indices, hi_indices):
+    """The per-quadrant descent ``range_bboxes`` ran before the cover table:
+    every covered quadrant of every level widens the boxes on its own."""
+    a = np.clip(np.asarray(lo_indices, dtype=np.int64).ravel(), 0, curve.max_index)
+    b = np.clip(np.asarray(hi_indices, dtype=np.int64).ravel(), 0, curve.max_index)
+    p, m = curve.order, a.size
+    dom_lo = np.asarray(curve.domain.lo, dtype=float)
+    cell_w = curve.domain.widths / curve.side
+    box_lo = np.full((m, 2), np.inf)
+    box_hi = np.full((m, 2), -np.inf)
+
+    def emit(mask, cx, cy, size):
+        sub = np.column_stack([dom_lo[0] + cx * cell_w[0], dom_lo[1] + cy * cell_w[1]])
+        top = np.column_stack([sub[:, 0] + cell_w[0] * size, sub[:, 1] + cell_w[1] * size])
+        box_lo[mask] = np.minimum(box_lo[mask], sub[mask])
+        box_hi[mask] = np.maximum(box_hi[mask], top[mask])
+
+    diff = a ^ b
+    l_div = np.full(m, p + 1, dtype=np.int64)
+    for level in range(p, 0, -1):  # the first level whose digits differ
+        shift = 2 * (p - level)
+        l_div = np.where(((a >> shift) & 3) != ((b >> shift) & 3), level, l_div)
+    l_div = np.where(diff > 0, l_div, p + 1)
+    for endpoint_is_a in (True, False):
+        idx, other = (a, b) if endpoint_is_a else (b, a)
+        swap, flip_x, flip_y = (np.zeros(m, dtype=bool) for _ in range(3))
+        cx = np.zeros(m, dtype=np.int64)
+        cy = np.zeros(m, dtype=np.int64)
+        for level in range(1, p + 1):
+            half = np.int64(1) << (p - level)
+            d = (idx >> (2 * (p - level))) & 3
+            d_other = (other >> (2 * (p - level))) & 3
+            for j in range(4):
+                if endpoint_is_a:
+                    mask = ((level > l_div) & (j > d)) | (
+                        (level == l_div) & (j > d) & (j < d_other))
+                else:
+                    mask = (level > l_div) & (j < d)
+                ox, oy = HilbertCurve._quadrant_offsets(np.int64(j), swap, flip_x, flip_y)
+                emit(mask, cx + ox * half, cy + oy * half, half)
+            ox, oy = HilbertCurve._quadrant_offsets(d, swap, flip_x, flip_y)
+            cx, cy = cx + ox * half, cy + oy * half
+            swap = np.where((d == 0) | (d == 3), ~swap, swap)
+            flip_x = np.where(d == 3, ~flip_x, flip_x)
+            flip_y = np.where(d == 3, ~flip_y, flip_y)
+        emit(np.ones(m, dtype=bool) if endpoint_is_a else (a != b), cx, cy, 1)
+    return box_lo, box_hi
+
+
+class TestRangeBboxesOracle:
+    """One widening per level (the cover table) equals one per quadrant."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 7, 10, 18, 31])
+    @pytest.mark.parametrize("domain", [Rect((0.0, 0.0), (1.0, 1.0)),
+                                        Rect((-124.8, 31.3), (-103.0, 49.1))],
+                             ids=["unit", "tiger"])
+    def test_equals_per_quadrant_descent(self, order, domain):
+        curve = HilbertCurve(order=order, domain=domain)
+        gen = np.random.default_rng(order)
+        lo = gen.integers(0, curve.max_index + 1, 500)
+        span = gen.integers(0, max(2, curve.max_index // 5), 500)
+        hi = np.minimum(lo + span, curve.max_index)
+        hi[:10] = lo[:10]  # single cells
+        lo = np.concatenate([lo, [0, 0, curve.max_index]])
+        hi = np.concatenate([hi, [curve.max_index, 0, curve.max_index]])
+        box_lo, box_hi = curve.range_bboxes(lo, hi)
+        ref_lo, ref_hi = _oracle_range_bboxes(curve, lo, hi)
+        assert box_lo.tobytes() == ref_lo.tobytes()
+        assert box_hi.tobytes() == ref_hi.tobytes()
+
+
 class TestRectToRanges:
     def test_full_domain_is_one_interval(self, curve):
         ranges = curve.rect_to_ranges(curve.domain)

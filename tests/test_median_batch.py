@@ -27,6 +27,7 @@ from repro.engine.cache import CachedEngine
 from repro.engine.flat import compile_hilbert_rtree, compile_psd
 from repro.geometry import Domain, Rect
 from repro.geometry.hilbert import HilbertCurve
+from repro.privacy import median as median_module
 from repro.privacy.median import (
     MEDIAN_METHODS,
     exponential_mechanism_median_batch,
@@ -137,6 +138,152 @@ class TestBatchBitwiseParity:
         with pytest.raises(ValueError, match="domain"):
             exponential_mechanism_median_batch(np.array([5.0]), np.array([0, 1]),
                                                1.0, 0.0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# Frozen EM oracle: the gather-based kernel the lean one replaced
+# ----------------------------------------------------------------------
+def _oracle_segment_cumsum(flat, offsets):
+    """Padded-bucket per-segment cumsum, as the kernel computed it for every
+    segment length before long segments got their own slice."""
+    flat = np.asarray(flat, dtype=float)
+    out = np.empty(flat.size)
+    counts = np.diff(offsets)
+    starts = offsets[:-1]
+    nz = np.flatnonzero(counts)
+    if nz.size == 0:
+        return out
+    classes = np.frexp(counts[nz].astype(float))[1]
+    for c in np.flatnonzero(np.bincount(classes)):
+        pick = nz[classes == c]
+        width = int(counts[pick].max())
+        local = np.arange(width)
+        idx = starts[pick][:, None] + local[None, :]
+        valid = local[None, :] < counts[pick][:, None]
+        rows = np.where(valid, flat[np.minimum(idx, flat.size - 1)], 0.0)
+        cs = np.cumsum(rows, axis=1)
+        out[idx[valid]] = cs[valid]
+    return out
+
+
+def _oracle_em_batch(sorted_values, offsets, epsilons, los, his, rng=None, *,
+                     uniforms=None, validate=True):
+    """The EM batch kernel with clamped gathers and ``np.where`` chains."""
+    m = median_module
+    vals, offs, counts, seg, lo, hi, k = m._prepare_batch(sorted_values, offsets, los, his,
+                                                          validate=validate)
+    eps = m._check_epsilons(epsilons, k)
+    u = m._draw_uniforms(uniforms, rng, k, 2)
+    safe, guard = m._safe_values(vals)
+    iv_counts = counts + 1
+    iv_off = offs + np.arange(k + 1, dtype=np.int64)
+    total = int(iv_off[-1])
+    iv_seg = np.repeat(np.arange(k, dtype=np.int64), iv_counts)
+    t = np.arange(total, dtype=np.int64) - iv_off[:-1][iv_seg]
+    left = np.where(t == 0, lo[iv_seg],
+                    safe[np.minimum(np.maximum(offs[:-1][iv_seg] + t - 1, 0), guard)])
+    right = np.where(t == counts[iv_seg], hi[iv_seg],
+                     safe[np.minimum(offs[:-1][iv_seg] + t, guard)])
+    lengths = right - left
+    log_weights = -(eps[iv_seg] / 2.0) * np.abs(t - counts[iv_seg] / 2.0)
+    positive = lengths > 0
+    log_w = np.where(positive, log_weights + np.log(np.where(positive, lengths, 1.0)), -np.inf)
+    seg_max = m._segment_reduce(np.maximum, log_w, iv_off, -np.inf)
+    degenerate = ~np.isfinite(seg_max)
+    safe_max = np.where(degenerate, 0.0, seg_max)
+    shifted = np.where(degenerate[iv_seg], 0.0, log_w - safe_max[iv_seg])
+    weights = np.exp(shifted)
+    cdf = _oracle_segment_cumsum(weights, iv_off)
+    cdf_last = cdf[iv_off[1:] - 1]
+    norm = cdf / cdf_last[iv_seg]
+    below = (norm <= u[:, 0][iv_seg]).astype(np.int64)
+    chosen = np.minimum(m._segment_reduce(np.add, below, iv_off, 0), counts)
+    pos = iv_off[:-1] + chosen
+    l_sel, r_sel = left[pos], right[pos]
+    width = r_sel - l_sel
+    res = np.where(width > 0, l_sel + width * u[:, 1], l_sel)
+    mid = np.where(counts > 0, safe[np.minimum(offs[:-1] + counts // 2, guard)], lo)
+    res = np.where(degenerate, mid, res)
+    return m._clamp_array(res, lo, hi)
+
+
+def oracle_batch(seed: int):
+    """A ragged batch mixing segments on both sides of the contiguous-cumsum
+    cut with empty segments, zero-width domains and runs of duplicates."""
+    gen = np.random.default_rng(seed)
+    cut = median_module._CUMSUM_SLICE_MIN
+    # +1 interval per segment: lengths cut - 2 and cut - 1 stay padded, cut
+    # and above go contiguous.
+    sizes = [0, cut - 2, 1, cut - 1, 0, 7, cut + 3, 3 * cut, 40, 0, 2]
+    segments, los, his = [], [], []
+    for i, size in enumerate(sizes):
+        lo = float(gen.uniform(-50.0, 50.0))
+        if i in (2, 9):  # zero-width domains: the degenerate branch
+            hi = lo
+        else:
+            hi = lo + float(gen.uniform(0.5, 20.0))
+        values = np.sort(gen.uniform(lo, hi, size))
+        if i in (3, 8):  # runs of duplicates: zero-length intervals
+            values = np.sort(np.round(values, 0).clip(lo, hi))
+        if i == 5:
+            values = np.full(size, (lo + hi) / 2.0)
+        segments.append(values)
+        los.append(lo)
+        his.append(hi)
+    values = np.concatenate(segments)
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    epsilons = gen.uniform(0.01, 3.0, len(sizes))
+    return values, offsets, epsilons, np.array(los), np.array(his)
+
+
+class TestEMKernelOracle:
+    """The lean EM kernel is bitwise the frozen gather-based one."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_oracle_on_ragged_batches(self, seed):
+        values, offsets, epsilons, los, his = oracle_batch(seed)
+        cut = median_module._CUMSUM_SLICE_MIN
+        iv_sizes = np.diff(offsets) + 1
+        assert np.any(iv_sizes >= cut) and np.any((iv_sizes > 1) & (iv_sizes < cut))
+        g_new, g_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = exponential_mechanism_median_batch(values, offsets, epsilons, los, his, rng=g_new)
+        old = _oracle_em_batch(values, offsets, epsilons, los, his, rng=g_old)
+        assert new.tobytes() == old.tobytes()
+        assert g_new.bit_generator.state == g_old.bit_generator.state
+
+    def test_uniforms_equal_rng_and_leave_same_state(self):
+        values, offsets, epsilons, los, his = oracle_batch(5)
+        k = offsets.size - 1
+        g_rng, g_pre = np.random.default_rng(77), np.random.default_rng(77)
+        via_rng = exponential_mechanism_median_batch(values, offsets, epsilons, los, his,
+                                                     rng=g_rng)
+        pre = g_pre.random(2 * k).reshape(k, 2)
+        via_uniforms = exponential_mechanism_median_batch(values, offsets, epsilons, los, his,
+                                                          uniforms=pre, validate=False)
+        oracle = _oracle_em_batch(values, offsets, epsilons, los, his, uniforms=pre,
+                                  validate=False)
+        assert via_rng.tobytes() == via_uniforms.tobytes() == oracle.tobytes()
+        assert g_rng.bit_generator.state == g_pre.bit_generator.state
+
+    def test_degenerate_and_empty_segments(self):
+        values, offsets, epsilons, los, his = oracle_batch(6)
+        res = exponential_mechanism_median_batch(values, offsets, epsilons, los, his, rng=3)
+        zero_width = his == los
+        assert np.array_equal(res[zero_width], los[zero_width])
+        empty = np.diff(offsets) == 0
+        assert np.all((res[empty] >= los[empty]) & (res[empty] <= his[empty]))
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_segment_cumsum_equals_oracle_and_per_segment_cumsum(self, seed):
+        gen = np.random.default_rng(seed)
+        cut = median_module._CUMSUM_SLICE_MIN
+        sizes = np.array([cut, 0, cut - 1, 1, 2 * cut + 5, 3, 0, cut + 1, 17])
+        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        flat = gen.exponential(1.0, int(offsets[-1]))
+        lean = median_module._segment_cumsum(flat, offsets)
+        assert lean.tobytes() == _oracle_segment_cumsum(flat, offsets).tobytes()
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            assert lean[a:b].tobytes() == np.cumsum(flat[a:b]).tobytes()
 
 
 def build_pair(rule, height, seed, **kwargs):
