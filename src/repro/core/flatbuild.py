@@ -203,8 +203,8 @@ def build_flat_structure(
                 cur_lo, cur_hi, cur_pts, cur_node, level, height, domain, eps_med, rng=gen
             )
         if batched is not None:
-            # ``level_pts`` is normally the level's own points; a point the
-            # reference routes to two children (domain-edge split) appears
+            # The returned points are normally the level's own points; a point
+            # the reference routes to two children (domain-edge split) appears
             # twice, which the bincount and the regroup handle transparently.
             child_lo, child_hi, cur_node, cur_pts = batched
             counts = np.bincount(cur_node, minlength=child_lo.shape[0]).astype(np.int64)
